@@ -18,37 +18,44 @@ let safe_t =
   let doc = "Mitigation mode: true = PTI + mitigations (Linux default)." in
   Arg.(value & opt bool true & info [ "safe" ] ~doc)
 
+(* The four general techniques of §3 come first: analyze --explore sweeps
+   exactly those. *)
 let opt_names =
   [
-    ("concurrent", fun o -> o.Opts.concurrent_flush <- true);
-    ("early-ack", fun o -> o.Opts.early_ack <- true);
-    ("cacheline", fun o -> o.Opts.cacheline_consolidation <- true);
-    ("in-context", fun o -> o.Opts.in_context_flush <- true);
-    ("cow", fun o -> o.Opts.cow_avoid_flush <- true);
-    ("batching", fun o -> o.Opts.userspace_batching <- true);
-    ("unsafe-lazy", fun o -> o.Opts.unsafe_lazy_batching <- true);
-    ( "freebsd",
-      fun o ->
-        o.Opts.freebsd_protocol <- true;
-        o.Opts.full_flush_threshold <- 4096 );
+    ("concurrent", fun o v -> o.Opts.concurrent_flush <- v);
+    ("early-ack", fun o v -> o.Opts.early_ack <- v);
+    ("cacheline", fun o v -> o.Opts.cacheline_consolidation <- v);
+    ("in-context", fun o v -> o.Opts.in_context_flush <- v);
+    ("cow", fun o v -> o.Opts.cow_avoid_flush <- v);
+    ("batching", fun o v -> o.Opts.userspace_batching <- v);
   ]
+
+(* --opts names that choose the protocol instead of enabling a flag; at
+   most one may appear. *)
+let protocol_presets =
+  [ ("unsafe-lazy", Opts.with_protocol Opts.Unsafe_lazy); ("freebsd", Opts.freebsd) ]
 
 let opts_t =
   let doc =
     "Optimizations to enable: comma-separated subset of concurrent, early-ack, \
-     cacheline, in-context, cow, batching, unsafe-lazy, freebsd; or 'all', 'general', \
-     'none'."
+     cacheline, in-context, cow, batching, plus at most one protocol, unsafe-lazy or \
+     freebsd; or 'all', 'general', 'none'."
   in
-  let parse s =
-    if String.equal s "none" then Ok `None
-    else if String.equal s "all" then Ok `All
-    else if String.equal s "general" then Ok `General
-    else begin
-      let names = String.split_on_char ',' s in
-      let unknown = List.filter (fun n -> not (List.mem_assoc n opt_names)) names in
-      if List.is_empty unknown then Ok (`List names)
-      else Error (`Msg (Printf.sprintf "unknown optimization(s): %s" (String.concat ", " unknown)))
-    end
+  let fail what names = Error (`Msg (what ^ ": " ^ String.concat ", " names)) in
+  let parse = function
+    | "none" -> Ok `None
+    | "all" -> Ok `All
+    | "general" -> Ok `General
+    | s -> (
+        let names = String.split_on_char ',' s in
+        let known n = List.mem_assoc n opt_names || List.mem_assoc n protocol_presets in
+        match
+          ( List.filter (fun n -> not (known n)) names,
+            List.filter (fun n -> List.mem_assoc n protocol_presets) names )
+        with
+        | _ :: _ as unknown, _ -> fail "unknown optimization(s)" unknown
+        | [], (_ :: _ :: _ as protocols) -> fail "at most one protocol may be named" protocols
+        | [], _ -> Ok (`List names))
   in
   let print fmt v =
     Format.pp_print_string fmt
@@ -73,8 +80,12 @@ let make_opts ~safe spec =
   | `All -> Opts.all ~safe
   | `General -> Opts.all_general ~safe
   | `List names ->
-      let o = Opts.baseline ~safe in
-      List.iter (fun n -> (List.assoc n opt_names) o) names;
+      let o =
+        match List.find_map (fun n -> List.assoc_opt n protocol_presets) names with
+        | Some preset -> preset ~safe
+        | None -> Opts.baseline ~safe
+      in
+      List.iter (fun n -> Option.iter (fun set -> set o true) (List.assoc_opt n opt_names)) names;
       o
 
 (* --- micro --- *)
@@ -255,31 +266,19 @@ let analyze_cmd =
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
   in
-  let general_flags =
-    [
-      ("concurrent", fun o v -> o.Opts.concurrent_flush <- v);
-      ("early-ack", fun o v -> o.Opts.early_ack <- v);
-      ("cacheline", fun o v -> o.Opts.cacheline_consolidation <- v);
-      ("in-context", fun o v -> o.Opts.in_context_flush <- v);
-    ]
-  in
+  let general_flags = List.filteri (fun i _ -> i < 4) opt_names in
   let protocol_t =
     let doc =
       "Backend whose quiescence/invariants the $(b,--explore) sweep validates: \
-       paper, oracle, sync-broadcast, queue-spin, or 'all' to sweep every backend."
+       paper, oracle, sync-broadcast, queue-spin, freebsd, or 'all' to sweep every \
+       backend. Defaults to the protocol $(b,--opts) names, else paper; naming a \
+       different one in both is an error."
     in
     let alist =
-      [
-        ("paper", `One Opts.Paper);
-        ("oracle", `One Opts.Oracle);
-        ("sync-broadcast", `One Opts.Sync_broadcast);
-        ("sync", `One Opts.Sync_broadcast);
-        ("queue-spin", `One Opts.Queue_spin);
-        ("queue", `One Opts.Queue_spin);
-        ("all", `All);
-      ]
+      (("all", `All) :: List.map (fun p -> (Opts.protocol_label p, `One p)) Opts.all_protocols)
+      @ [ ("sync", `One Opts.Sync_broadcast); ("queue", `One Opts.Queue_spin) ]
     in
-    Arg.(value & opt (enum alist) (`One Opts.Paper) & info [ "protocol" ] ~doc)
+    Arg.(value & opt (some (enum alist)) None & info [ "protocol" ] ~doc)
   in
   let run safe spec inject_bug explore protocol_sel rounds seed jobs =
     let opts = make_opts ~safe spec in
@@ -287,14 +286,23 @@ let analyze_cmd =
       match spec with `None when not explore -> Opts.all_general ~safe | _ -> opts
     in
     if inject_bug then opts.Opts.bug_skip_deferred_flush <- true;
+    let protocols =
+      match protocol_sel with
+      | None -> [ opts.Opts.protocol ]
+      | Some sel ->
+          let ps = match sel with `One p -> [ p ] | `All -> Opts.all_protocols in
+          if opts.Opts.protocol <> Opts.Paper && ps <> [ opts.Opts.protocol ] then begin
+            Printf.eprintf "tlbsim: --protocol disagrees with --opts %s\n"
+              (Opts.protocol_label opts.Opts.protocol);
+            exit Cmd.Exit.cli_error
+          end;
+          ps
+    in
     if explore then begin
       (* Sweep every subset of the four general optimizations — per
          selected protocol backend — on the exhaustively-explorable 2-CPU
          scenario; each (backend, subset)'s exploration is one pool task,
          reported in (backend, mask) order whatever the schedule. *)
-      let protocols =
-        match protocol_sel with `One p -> [ p ] | `All -> Opts.all_protocols
-      in
       let nflags = List.length general_flags in
       let combos =
         List.concat_map
@@ -314,8 +322,8 @@ let analyze_cmd =
                          (List.map fst general_flags))
                 in
                 let label =
-                  match protocol_sel with
-                  | `One Opts.Paper -> flags
+                  match protocols with
+                  | [ Opts.Paper ] -> flags
                   | _ -> Printf.sprintf "%s %s" (Opts.protocol_label p) flags
                 in
                 (label, o)))

@@ -1,9 +1,9 @@
 (* Protocol-independent flush primitives shared by every shootdown backend
    (lib/core/proto_*.ml): the generation-tracked flush function, the local
-   full flush, the §3.4 deferred user-PCID machinery and the phase-metering
-   helpers. Anything a backend may legitimately differ on is a parameter
-   ([~user], [~eager_user]) — the backends themselves carry the policy (see
-   protocol.mli). *)
+   full flush, the §3.4 deferred user-PCID machinery, the shootdown-irq
+   registration and the phase-metering helpers. Anything a backend may
+   legitimately differ on is a parameter ([~user], [~eager_user], the irq
+   handler) — the backends themselves carry the policy (see protocol.mli). *)
 
 let actor cpu = Printf.sprintf "cpu%d" cpu
 
@@ -12,6 +12,31 @@ let tracef m ~cpu fmt =
   let trace = m.Machine.trace in
   if Trace.enabled trace then Trace.emitf trace ~actor:(actor cpu) fmt
   else Format.ikfprintf ignore Format.str_formatter fmt
+
+(* --- the backends' shared IPI plumbing --- *)
+
+(* The active backend's irq record is fixed per machine (the handler
+   depends only on [m]; the responder CPU is recovered from the [Cpu.t] the
+   dispatcher passes in), so register it with the APIC once, at the
+   machine's first shootdown, and send every IPI by id — the send path then
+   allocates neither irq records nor delivery closures. *)
+let shootdown_irq m handler =
+  let id = m.Machine.proto_irq_id in
+  if id >= 0 then id
+  else begin
+    let irq =
+      {
+        Cpu.vector = Smp.tlb_shootdown_vector;
+        maskable = true;
+        handler = (fun cpu -> handler m ~me:(Cpu.id cpu) cpu);
+      }
+    in
+    let id = Apic.register_irq m.Machine.apic irq in
+    m.Machine.proto_irq_id <- id;
+    id
+  end
+
+let csq_pending m ~cpu = not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq)
 
 (* How the user-PCID half of a flush is handled under PTI. *)
 type user_flush = Eager | Defer | Skip

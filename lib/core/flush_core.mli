@@ -1,13 +1,25 @@
 (** Protocol-independent flush primitives shared by every shootdown backend:
     the generation-tracked flush function, the local full flush, the §3.4
-    deferred user-PCID machinery and the phase-metering helpers. The
-    {!Protocol} backends compose these; {!Shootdown} re-exports the
-    user-facing entry points. *)
+    deferred user-PCID machinery, the shootdown-irq registration and the
+    phase-metering helpers. The {!Protocol} backends compose these;
+    {!Shootdown} re-exports the user-facing entry points. *)
 
 (** Printf-style trace line attributed to [cpu]; formats nothing when
     tracing is off. *)
 val tracef :
   Machine.t -> cpu:int -> ('a, Format.formatter, unit, unit) format4 -> 'a
+
+(** The machine's shootdown irq id for the active backend's responder
+    [handler], registered with the APIC (vector {!Smp.tlb_shootdown_vector})
+    at the first call and cached in [Machine.proto_irq_id] after that. A
+    machine runs one backend for its lifetime, so every later call returns
+    the cached id without allocating. The one place a shootdown irq is
+    registered. *)
+val shootdown_irq : Machine.t -> (Machine.t -> me:int -> Cpu.t -> unit) -> int
+
+(** Does [cpu]'s call queue hold undrained CFDs? The [responder_pending]
+    hook of the backends that deliver work through it. *)
+val csq_pending : Machine.t -> cpu:int -> bool
 
 (** How the user-PCID half of a flush is handled under PTI. *)
 type user_flush = Eager | Defer | Skip

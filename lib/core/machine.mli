@@ -65,9 +65,9 @@ type t = {
   mutable next_ipi_seq : int;
   mutable proto_irq_id : int;
       (** Apic registry id for the active {!Protocol} backend's long-lived
-          shootdown irq record, created by the backend at first use ([-1] =
-          not yet); per machine so IPI delivery never allocates an irq
-          record or closure. A machine runs one backend for its lifetime
+          shootdown irq record, registered by {!Flush_core.shootdown_irq}
+          at first use ([-1] = not yet); per machine so IPI delivery never
+          allocates an irq record or closure. A machine runs one backend for its lifetime
           ([Opts.protocol] is part of the memoization key), so one slot. *)
   line_sync_status : Cache.line;
       (** [Sync_broadcast]'s protocol-wide status table + posted-info line:
@@ -80,9 +80,10 @@ type t = {
       (** the posting initiator, for responder-side distance attribution *)
   checker : Checker.t;
   ipi_mutex : Rwsem.t;
-      (** FreeBSD's smp_ipi_mtx: taken (write) around each shootdown when
-          [Opts.freebsd_protocol] is set, serializing shootdowns
-          machine-wide (§3.3's reason for studying the Linux protocol). *)
+      (** FreeBSD's smp_ipi_mtx: taken (write) around each remote
+          shootdown by the [Opts.Freebsd] backend (and each broadcast by
+          [Sync_broadcast]), serializing shootdowns machine-wide (§3.3's
+          reason for studying the Linux protocol). *)
   stats : stats;
   metrics : Metrics.t;
       (** Phase-latency metric registry; enabled iff the machine was

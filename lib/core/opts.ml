@@ -2,22 +2,27 @@
    constructor maps to one [Core.Protocol] backend (see protocol.mli);
    everything protocol-specific in [Core.Shootdown] dispatches on this
    variant exactly once. *)
-type protocol = Paper | Oracle | Sync_broadcast | Queue_spin
+type protocol = Paper | Oracle | Sync_broadcast | Queue_spin | Freebsd | Unsafe_lazy
 
 let protocol_label = function
   | Paper -> "paper"
   | Oracle -> "oracle"
   | Sync_broadcast -> "sync-broadcast"
   | Queue_spin -> "queue-spin"
+  | Freebsd -> "freebsd"
+  | Unsafe_lazy -> "unsafe-lazy"
 
 let protocol_of_string = function
   | "paper" -> Some Paper
   | "oracle" -> Some Oracle
   | "sync-broadcast" | "sync" -> Some Sync_broadcast
   | "queue-spin" | "queue" -> Some Queue_spin
+  | "freebsd" -> Some Freebsd
+  | "unsafe-lazy" -> Some Unsafe_lazy
   | _ -> None
 
-let all_protocols = [ Paper; Oracle; Sync_broadcast; Queue_spin ]
+(* The strawman is left out: every sweep over this list must hold. *)
+let all_protocols = [ Paper; Oracle; Sync_broadcast; Queue_spin; Freebsd ]
 
 type t = {
   mutable safe : bool;
@@ -27,8 +32,6 @@ type t = {
   mutable in_context_flush : bool;
   mutable cow_avoid_flush : bool;
   mutable userspace_batching : bool;
-  mutable unsafe_lazy_batching : bool;
-  mutable freebsd_protocol : bool;
   mutable bug_skip_deferred_flush : bool;
   mutable protocol : protocol;
   mutable spec_pte_recache_p : float;
@@ -45,8 +48,6 @@ let baseline ~safe =
     in_context_flush = false;
     cow_avoid_flush = false;
     userspace_batching = false;
-    unsafe_lazy_batching = false;
-    freebsd_protocol = false;
     bug_skip_deferred_flush = false;
     protocol = Paper;
     spec_pte_recache_p = 0.05;
@@ -54,24 +55,13 @@ let baseline ~safe =
     batch_slots = 4;
   }
 
-(* The conservative reference protocol for differential testing: every PTE
-   change becomes one synchronous whole-TLB flush IPI broadcast to every
-   other CPU, with no deferral, batching, early acknowledgement or target
-   filtering. Trivially correct (no stale translation can survive any
-   flush), unusably slow — exactly what an oracle should be. *)
-let oracle ~safe =
-  let t = baseline ~safe in
-  t.protocol <- Oracle;
-  t
-
 let with_protocol protocol ~safe =
   let t = baseline ~safe in
   t.protocol <- protocol;
   t
 
 let freebsd ~safe =
-  let t = baseline ~safe in
-  t.freebsd_protocol <- true;
+  let t = with_protocol Freebsd ~safe in
   t.full_flush_threshold <- 4096;
   t
 
@@ -91,23 +81,9 @@ let all ~safe =
   t.userspace_batching <- true;
   t
 
-let copy t =
-  {
-    safe = t.safe;
-    concurrent_flush = t.concurrent_flush;
-    early_ack = t.early_ack;
-    cacheline_consolidation = t.cacheline_consolidation;
-    in_context_flush = t.in_context_flush;
-    cow_avoid_flush = t.cow_avoid_flush;
-    userspace_batching = t.userspace_batching;
-    unsafe_lazy_batching = t.unsafe_lazy_batching;
-    freebsd_protocol = t.freebsd_protocol;
-    bug_skip_deferred_flush = t.bug_skip_deferred_flush;
-    protocol = t.protocol;
-    spec_pte_recache_p = t.spec_pte_recache_p;
-    full_flush_threshold = t.full_flush_threshold;
-    batch_slots = t.batch_slots;
-  }
+(* A fresh record with every field copied (the functional update names one
+   field only because the syntax requires one). *)
+let copy t = { t with safe = t.safe }
 
 (* Build a cumulative stack: each stage copies the previous one and enables
    one more flag. Sequenced with explicit lets (list-element evaluation
@@ -159,8 +135,6 @@ let key
       in_context_flush;
       cow_avoid_flush;
       userspace_batching;
-      unsafe_lazy_batching;
-      freebsd_protocol;
       bug_skip_deferred_flush;
       protocol;
       spec_pte_recache_p;
@@ -168,12 +142,11 @@ let key
       batch_slots;
     } =
   Printf.sprintf
-    "safe=%b conc=%b eack=%b cline=%b inctx=%b cow=%b ubatch=%b lazy=%b fbsd=%b \
-     bugskip=%b proto=%s specp=%h fft=%d slots=%d"
+    "safe=%b conc=%b eack=%b cline=%b inctx=%b cow=%b ubatch=%b bugskip=%b \
+     proto=%s specp=%h fft=%d slots=%d"
     safe concurrent_flush early_ack cacheline_consolidation in_context_flush
-    cow_avoid_flush userspace_batching unsafe_lazy_batching freebsd_protocol
-    bug_skip_deferred_flush (protocol_label protocol) spec_pte_recache_p
-    full_flush_threshold batch_slots
+    cow_avoid_flush userspace_batching bug_skip_deferred_flush (protocol_label protocol)
+    spec_pte_recache_p full_flush_threshold batch_slots
 
 let pp fmt t =
   let flag name b = if b then Some name else None in
@@ -186,8 +159,6 @@ let pp fmt t =
         flag "in-context" t.in_context_flush;
         flag "cow" t.cow_avoid_flush;
         flag "batching" t.userspace_batching;
-        flag "UNSAFE-LAZY" t.unsafe_lazy_batching;
-        flag "freebsd" t.freebsd_protocol;
         flag "BUG-SKIP-DEFERRED" t.bug_skip_deferred_flush;
         flag (String.uppercase_ascii (protocol_label t.protocol))
           (t.protocol <> Paper);

@@ -6,8 +6,8 @@
     (mitigations off); under [safe], every address space has separate kernel
     and user PCIDs and user PTEs must be flushed too. *)
 
-(** Shootdown-protocol backend selector. Each constructor names one
-    {!Protocol} backend:
+(** Shootdown-protocol backend selector — the only way to choose a
+    protocol. Each constructor names one {!Protocol} backend:
     - [Paper]: the paper's optimized Linux protocol (default) — targeted
       IPIs, generation bookkeeping, and every Table-1 optimization gated by
       the flags below.
@@ -19,18 +19,28 @@
       self-invalidates, then spins until every other CPU has flushed.
     - [Queue_spin]: charmos-style per-CPU bounded ring-buffer queue with
       initial-spin/backoff/resend retry and flush-all collapsing when a
-      target's ring overflows. *)
-type protocol = Paper | Oracle | Sync_broadcast | Queue_spin
+      target's ring overflows.
+    - [Freebsd]: the FreeBSD comparator (paper §2.1/§3.3) — the paper
+      protocol with every remote shootdown inside the global smp_ipi_mtx
+      ({!Machine.ipi_mutex}), so only one is in flight machine-wide; pair
+      with the 4096-entry full-flush threshold via {!freebsd}. Safe but
+      serializing.
+    - [Unsafe_lazy]: the LATR-style strawman (paper §2.3.2) — flush
+      locally, never notify remote CPUs. Deliberately unsafe; exists to let
+      the {!Checker} demonstrate the paper's correctness argument. *)
+type protocol = Paper | Oracle | Sync_broadcast | Queue_spin | Freebsd | Unsafe_lazy
 
 (** Stable lowercase label ("paper", "oracle", "sync-broadcast",
-    "queue-spin") used in {!key}, CLI flags, metrics rows and reports. *)
+    "queue-spin", "freebsd", "unsafe-lazy") used in {!key}, CLI flags,
+    metrics rows and reports. *)
 val protocol_label : protocol -> string
 
 (** Inverse of {!protocol_label}; also accepts the short forms "sync" and
     "queue". *)
 val protocol_of_string : string -> protocol option
 
-(** All backends, in fixed shootout/report order. *)
+(** Every safe backend, in fixed report order: all constructors but the
+    [Unsafe_lazy] strawman, so every sweep over this list must hold. *)
 val all_protocols : protocol list
 
 type t = {
@@ -41,15 +51,6 @@ type t = {
   mutable in_context_flush : bool;  (** §3.4 defer user flushes to kernel exit *)
   mutable cow_avoid_flush : bool;  (** §4.1 dummy write instead of INVLPG *)
   mutable userspace_batching : bool;  (** §4.2 batch flushes in msync etc. *)
-  mutable unsafe_lazy_batching : bool;
-      (** LATR-style strawman: skip shootdown IPIs entirely and flush lazily.
-          Deliberately unsafe; exists to let the {!Checker} demonstrate the
-          correctness argument of paper §2.3.2. *)
-  mutable freebsd_protocol : bool;
-      (** FreeBSD-style comparator (paper §2.1/§3.3): every shootdown takes
-          the global smp_ipi_mtx, so only one shootdown is in flight
-          machine-wide; pair with a 4096-entry full-flush threshold via
-          {!freebsd}. Safe but serializing. *)
   mutable bug_skip_deferred_flush : bool;
       (** Injected protocol bug for the race detector: drop deferred user
           flushes (§3.4) at kernel exit instead of executing them. The
@@ -76,13 +77,9 @@ val all_general : safe:bool -> t
 (** All six optimizations. *)
 val all : safe:bool -> t
 
-(** FreeBSD-flavoured baseline: serialized shootdowns (smp_ipi_mtx) and the
-    4096-entry full-flush ceiling (§2.1). *)
+(** FreeBSD-flavoured baseline: [protocol = Freebsd] (serialized
+    shootdowns) and the 4096-entry full-flush ceiling (§2.1). *)
 val freebsd : safe:bool -> t
-
-(** Baseline with [protocol = Oracle]: the trivially-correct
-    synchronous-broadcast reference the differential fuzzer diffs against. *)
-val oracle : safe:bool -> t
 
 (** Baseline with the given backend selected and every optimization off. *)
 val with_protocol : protocol -> safe:bool -> t

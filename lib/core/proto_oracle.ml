@@ -31,22 +31,6 @@ let ipi_handler m ~me (_ : Cpu.t) =
       Smp.ack m ~me cfd);
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
 
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
-
 let perform m ~from ~mm:_ (info : Flush_info.t) token =
   let stats = m.Machine.stats in
   let pcpu = Machine.percpu m from in
@@ -77,7 +61,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
     let prep0 = Machine.now m in
     let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack:false in
-    Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
+    Smp.send_ipis m ~from ~targets ~irq_id:(shootdown_irq m ipi_handler);
     if Machine.metering m then record_prep m ~from ~targets (Machine.now m - prep0);
     Smp.wait_for_acks m ~from cfds ();
     Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
@@ -86,13 +70,9 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
 let backend =
   {
     Protocol.name = "oracle";
-    full_only = true;
-    eager_user_full = true;
-    honors_batching = false;
-    honors_cow = false;
-    irq_id;
+    always_full = true;
+    paper_elisions = false;
     perform;
-    responder_pending =
-      (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));
+    responder_pending = csq_pending;
     quiescent = (fun _ ~cpu:_ _ -> ());
   }

@@ -1,7 +1,10 @@
 (* The paper's optimized Linux protocol — Figure 1 (baseline) / Figure 3
    (optimized), every Table-1 technique gated by Opts flags. This is the
    protocol the paper studies; the other backends exist to compare against
-   it (and to cross-check it in the differential fuzzer). *)
+   it (and to cross-check it in the differential fuzzer). The paper's two
+   comparators are copies of this record with another [perform]: FreeBSD
+   (the remote shootdown under the global smp_ipi_mtx) and the LATR-style
+   unsafe-lazy strawman (no remote shootdown at all). *)
 
 open Flush_core
 
@@ -42,27 +45,6 @@ let ipi_handler m ~me (_ : Cpu.t) =
   (* If we interrupted user mode we are about to return to it: any flush
      deferred by §3.4 must complete first. *)
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
-
-(* The irq record is fixed per machine (the handler depends only on [m];
-   the responder CPU is recovered from the [Cpu.t] the dispatcher passes
-   in), so register it with the APIC once, at the machine's first
-   shootdown, and send every IPI by id — the send path then allocates
-   neither irq records nor delivery closures. *)
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
 
 (* Initiator-side local flush. Returns the list of user VPNs left for the
    §3.4/§3.1 interplay to flush during the ack wait (empty otherwise). *)
@@ -115,106 +97,122 @@ let select_targets m ~from ~mm (info : Flush_info.t) =
     targets;
   targets
 
-(* One complete shootdown for [info], generation already bumped. *)
-let perform m ~from ~mm (info : Flush_info.t) token =
+(* Enqueue CFDs for [targets] and IPI them: the remote half shared by
+   [perform] and the CoW elision path (Shootdown.flush_tlb_page_cow). Prep =
+   target selection ([sel_dt], already spent by the caller) + CFD enqueue +
+   ICR writes, i.e. every initiator-side cycle before the IPIs are in
+   flight; attributed like ack_wait to the farthest target. *)
+let send_remote m ~from ~targets ~sel_dt (info : Flush_info.t) =
+  let early_ack = m.Machine.opts.Opts.early_ack && not info.Flush_info.freed_tables in
+  let t0 = Machine.now m in
+  let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
+  Smp.send_ipis m ~from ~targets ~irq_id:(shootdown_irq m ipi_handler);
+  if Machine.metering m then
+    record_prep m ~from ~targets (sel_dt + (Machine.now m - t0));
+  cfds
+
+(* The initiator's remote shootdown of a non-empty target set, with the
+   local flush ordered around it. *)
+let shoot_remote m ~from ~targets ~sel_dt (info : Flush_info.t) =
   let opts = m.Machine.opts and costs = m.Machine.costs and stats = m.Machine.stats in
-  if opts.Opts.unsafe_lazy_batching then begin
-    (* LATR-style strawman: flush locally, never notify remote CPUs, and
-       return as if the flush were complete. The Checker flags the stale
-       accesses this permits. *)
-    ignore
-      (flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
-         ~eager_user:false info);
+  if opts.Opts.concurrent_flush then begin
+    (* §3.1: send first; the local flush overlaps IPI delivery. *)
+    let cfds = send_remote m ~from ~targets ~sel_dt info in
+    let leftover = ref (initiator_local_flush m ~from ~has_remote_targets:true info) in
+    let pcpu = Machine.percpu m from in
+    let tlb = Cpu.tlb (Machine.cpu m from) in
+    let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
+    let any_ack () = Array.exists (fun c -> c.Percpu.cfd_acked) cfds in
+    let while_waiting () =
+      (* §3.4 interplay: burn the wait on user-PTE INVPCIDs until the
+         first ack lands, then defer the rest to kernel exit. *)
+      match !leftover with
+      | [] -> ()
+      | vpn :: rest ->
+          if not (any_ack ()) then begin
+            Machine.delay m costs.Costs.invpcid_single;
+            Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
+            leftover := rest
+          end
+    in
+    (* Same condition [while_waiting] acts on, minus the action: lets
+       the ack wait skip resuming us on poll ticks with nothing to do. *)
+    let waiting_work () =
+      match !leftover with [] -> false | _ :: _ -> not (any_ack ())
+    in
+    Smp.wait_for_acks m ~from cfds ~while_waiting ~waiting_work ();
+    match !leftover with
+    | [] -> ()
+    | vpn :: _ as rest ->
+        stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
+        let deferred =
+          Flush_info.ranged ~mm_id:info.Flush_info.mm_id ~start_vpn:vpn
+            ~pages:(List.length rest) ~stride:info.Flush_info.stride
+            ~new_tlb_gen:info.Flush_info.new_tlb_gen ()
+        in
+        Percpu.defer_user_flush pcpu deferred ~threshold:opts.Opts.full_flush_threshold
+  end
+  else begin
+    (* Baseline (Figure 1): local flush strictly before the IPIs. *)
+    ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
+    let cfds = send_remote m ~from ~targets ~sel_dt info in
+    Smp.wait_for_acks m ~from cfds ()
+  end
+
+(* FreeBSD comparator: one machine-wide remote shootdown at a time, under
+   the global smp_ipi_mtx. *)
+let shoot_remote_serialized m ~from ~targets ~sel_dt info =
+  Machine.delay m m.Machine.costs.Costs.lock_uncontended;
+  Rwsem.down_write m.Machine.ipi_mutex;
+  shoot_remote m ~from ~targets ~sel_dt info;
+  Rwsem.up_write m.Machine.ipi_mutex
+
+(* One complete shootdown for [info], generation already bumped; [remote]
+   runs the shootdown proper once there is a remote target. *)
+let perform_with ~remote m ~from ~mm (info : Flush_info.t) token =
+  let stats = m.Machine.stats in
+  let sel0 = Machine.now m in
+  let targets = select_targets m ~from ~mm info in
+  let sel_dt = Machine.now m - sel0 in
+  if Cpuset.is_empty targets then begin
     stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
+    ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
     Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
   end
   else begin
-    let sel0 = Machine.now m in
-    let targets = select_targets m ~from ~mm info in
-    let sel_dt = Machine.now m - sel0 in
-    if Cpuset.is_empty targets then begin
-      stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
-      ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
-      Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
-    end
-    else begin
-      stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
-      (* FreeBSD comparator: one machine-wide shootdown at a time. *)
-      if opts.Opts.freebsd_protocol then begin
-        Machine.delay m m.Machine.costs.Costs.lock_uncontended;
-        Rwsem.down_write m.Machine.ipi_mutex
-      end;
-      let early_ack = opts.Opts.early_ack && not info.Flush_info.freed_tables in
-      let run_remote () =
-        let t0 = Machine.now m in
-        let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
-        Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
-        (* Prep = target selection + CFD enqueue + ICR writes, i.e. every
-           initiator-side cycle before the IPIs are in flight; attributed
-           like ack_wait to the farthest target. *)
-        if Machine.metering m then
-          record_prep m ~from ~targets (sel_dt + (Machine.now m - t0));
-        cfds
-      in
-      if opts.Opts.concurrent_flush then begin
-        (* §3.1: send first; the local flush overlaps IPI delivery. *)
-        let cfds = run_remote () in
-        let leftover = ref (initiator_local_flush m ~from ~has_remote_targets:true info) in
-        let pcpu = Machine.percpu m from in
-        let tlb = Cpu.tlb (Machine.cpu m from) in
-        let user_pcid = Percpu.user_pcid pcpu.Percpu.curr_asid in
-        let any_ack () = Array.exists (fun c -> c.Percpu.cfd_acked) cfds in
-        let while_waiting () =
-          (* §3.4 interplay: burn the wait on user-PTE INVPCIDs until the
-             first ack lands, then defer the rest to kernel exit. *)
-          match !leftover with
-          | [] -> ()
-          | vpn :: rest ->
-              if not (any_ack ()) then begin
-                Machine.delay m costs.Costs.invpcid_single;
-                Tlb.invpcid_addr tlb ~pcid:user_pcid ~vpn;
-                leftover := rest
-              end
-        in
-        (* Same condition [while_waiting] acts on, minus the action: lets
-           the ack wait skip resuming us on poll ticks with nothing to do. *)
-        let waiting_work () =
-          match !leftover with [] -> false | _ :: _ -> not (any_ack ())
-        in
-        Smp.wait_for_acks m ~from cfds ~while_waiting ~waiting_work ();
-        (match !leftover with
-        | [] -> ()
-        | vpn :: _ as rest ->
-            stats.Machine.in_context_deferrals <- stats.Machine.in_context_deferrals + 1;
-            let deferred =
-              Flush_info.ranged ~mm_id:info.Flush_info.mm_id ~start_vpn:vpn
-                ~pages:(List.length rest) ~stride:info.Flush_info.stride
-                ~new_tlb_gen:info.Flush_info.new_tlb_gen ()
-            in
-            Percpu.defer_user_flush pcpu deferred ~threshold:opts.Opts.full_flush_threshold)
-      end
-      else begin
-        (* Baseline (Figure 1): local flush strictly before the IPIs. *)
-        ignore (initiator_local_flush m ~from ~has_remote_targets:false info);
-        let cfds = run_remote () in
-        Smp.wait_for_acks m ~from cfds ()
-      end;
-      if opts.Opts.freebsd_protocol then Rwsem.up_write m.Machine.ipi_mutex;
-      Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
-      tracef m ~cpu:from "shootdown complete"
-    end
+    stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
+    remote m ~from ~targets ~sel_dt info;
+    Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token;
+    tracef m ~cpu:from "shootdown complete"
   end
+
+(* LATR-style strawman: flush locally, never notify remote CPUs, and
+   return as if the flush were complete. The Checker flags the stale
+   accesses this permits. *)
+let perform_unsafe_lazy m ~from ~mm:_ (info : Flush_info.t) token =
+  let stats = m.Machine.stats in
+  ignore
+    (flush_tlb_func_impl m ~cpu:from ~user:(default_user_policy m info)
+       ~eager_user:false info);
+  stats.Machine.local_only_flushes <- stats.Machine.local_only_flushes + 1;
+  Machine.end_window m ~cpu:from ~mm_id:info.Flush_info.mm_id token
 
 let backend =
   {
     Protocol.name = "paper";
-    full_only = false;
-    eager_user_full = false;
-    honors_batching = true;
-    honors_cow = true;
-    irq_id;
-    perform;
-    responder_pending =
-      (fun m ~cpu -> not (Queue.is_empty (Machine.percpu m cpu).Percpu.csq));
+    always_full = false;
+    paper_elisions = true;
+    perform = perform_with ~remote:shoot_remote;
+    responder_pending = csq_pending;
     quiescent = (fun _ ~cpu:_ _ -> ());
   }
+
+let freebsd =
+  {
+    backend with
+    Protocol.name = "freebsd";
+    perform = perform_with ~remote:shoot_remote_serialized;
+  }
+
+let unsafe_lazy =
+  { backend with Protocol.name = "unsafe-lazy"; perform = perform_unsafe_lazy }

@@ -4,6 +4,18 @@
 
 val backend : Protocol.t
 
+(** [Opts.Freebsd]: {!backend} whose [perform] runs its remote shootdown
+    inside the {!Machine.ipi_mutex} write lock (FreeBSD's smp_ipi_mtx), so
+    only one is in flight machine-wide. The §4.1 CoW elision path, when
+    [cow_avoid_flush] is on, sends through {!send_remote} without the
+    lock. *)
+val freebsd : Protocol.t
+
+(** [Opts.Unsafe_lazy]: {!backend} whose [perform] flushes locally and
+    never notifies remote CPUs — the LATR-style strawman of paper §2.3.2,
+    deliberately unsafe. *)
+val unsafe_lazy : Protocol.t
+
 (** Select remote shootdown targets into [from]'s scratch cpuset, skipping
     lazy-TLB CPUs and (under §4.2) CPUs inside batching syscalls; one
     remote line read per candidate. Exposed for the CoW elision path in
@@ -11,6 +23,15 @@ val backend : Protocol.t
 val select_targets :
   Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> Cpuset.t
 
-(** The backend's registered shootdown irq id (for the CoW path's direct
-    IPI send). *)
-val irq_id : Machine.t -> int
+(** Enqueue CFDs for the non-empty [targets] and send them the shootdown
+    IPI, returning the CFDs to wait on. Meters prep as [sel_dt] (the
+    caller's target-selection cycles) plus the enqueue and ICR writes. The
+    remote half shared by the [perform] of {!backend} and {!freebsd} and by
+    {!Shootdown.flush_tlb_page_cow}. *)
+val send_remote :
+  Machine.t ->
+  from:int ->
+  targets:Cpuset.t ->
+  sel_dt:int ->
+  Flush_info.t ->
+  Percpu.cfd array

@@ -78,22 +78,6 @@ let ipi_handler m ~me (_ : Cpu.t) =
   drain ();
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
 
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
-
 (* Post [info] into [c]'s ring under queue generation [gen]. The ring
    mutations run after the line RMW completes, with no yield in between, so
    concurrent producers serialize at the charge and never interleave
@@ -145,7 +129,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
     let prep0 = Machine.now m in
     let gen = Machine.next_ipi_seq m in
     Cpuset.iter (fun c -> post_to m ~from ~gen info c) targets;
-    Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
+    Smp.send_ipis m ~from ~targets ~irq_id:(shootdown_irq m ipi_handler);
     if Machine.metering m then
       record_prep m ~from ~targets (Machine.now m - prep0);
     (* Ack wait: all targets must drain past [gen]. Initial spin, then up
@@ -182,7 +166,7 @@ let perform m ~from ~mm (info : Flush_info.t) token =
                 Cpuset.clear pending c)
             pending;
           if not (Cpuset.is_empty pending) then
-            Smp.send_ipis m ~from ~targets:pending ~irq_id:(irq_id m);
+            Smp.send_ipis m ~from ~targets:pending ~irq_id:(shootdown_irq m ipi_handler);
           incr retries;
           spin := !spin * backoff_mult;
           deadline := Machine.now m + !spin
@@ -209,11 +193,8 @@ let perform m ~from ~mm (info : Flush_info.t) token =
 let backend =
   {
     Protocol.name = "queue-spin";
-    full_only = false;
-    eager_user_full = false;
-    honors_batching = false;
-    honors_cow = false;
-    irq_id;
+    always_full = false;
+    paper_elisions = false;
     perform;
     responder_pending =
       (fun m ~cpu ->

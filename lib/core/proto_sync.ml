@@ -10,7 +10,8 @@
    Blocked waiters are safe: a CPU parked in Rwsem.down_write still services
    IPIs (Cpu.post_irq dispatches detached handlers), so an initiator-to-be
    can acknowledge the current broadcast while queueing for the lock — the
-   same argument that keeps Opts.freebsd_protocol deadlock-free. *)
+   same argument that keeps the Freebsd backend (Proto_paper.freebsd),
+   which takes the same lock, deadlock-free. *)
 
 open Flush_core
 
@@ -45,22 +46,6 @@ let ipi_handler m ~me (_ : Cpu.t) =
         Machine.charge_atomic m m.Machine.line_sync_status ~by:me
       end);
   if Cpu.irq_from_user (Machine.cpu m me) then flush_pending_user m ~cpu:me ~has_stack:true
-
-let irq_id m =
-  let id = m.Machine.proto_irq_id in
-  if id >= 0 then id
-  else begin
-    let irq =
-      {
-        Cpu.vector = Smp.tlb_shootdown_vector;
-        maskable = true;
-        handler = (fun cpu -> ipi_handler m ~me:(Cpu.id cpu) cpu);
-      }
-    in
-    let id = Apic.register_irq m.Machine.apic irq in
-    m.Machine.proto_irq_id <- id;
-    id
-  end
 
 let perform m ~from ~mm:_ (info : Flush_info.t) token =
   let stats = m.Machine.stats in
@@ -99,7 +84,7 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
     in
     if Machine.metering m then
       record_flush m ~rank:0 ~kind:(kind_of_result result) (Machine.now m - t0);
-    Smp.send_ipis m ~from ~targets ~irq_id:(irq_id m);
+    Smp.send_ipis m ~from ~targets ~irq_id:(shootdown_irq m ipi_handler);
     if Machine.metering m then
       record_prep m ~from ~targets (Machine.now m - prep0);
     (* Spin until the whole status table reads done. [ready] only loads
@@ -136,11 +121,8 @@ let perform m ~from ~mm:_ (info : Flush_info.t) token =
 let backend =
   {
     Protocol.name = "sync-broadcast";
-    full_only = false;
-    eager_user_full = false;
-    honors_batching = false;
-    honors_cow = false;
-    irq_id;
+    always_full = false;
+    paper_elisions = false;
     perform;
     responder_pending =
       (fun m ~cpu ->

@@ -1,25 +1,20 @@
 (* The shootdown-protocol backend interface. One value of [t] per
-   Opts.protocol constructor (proto_paper / proto_oracle / proto_sync /
-   proto_queue); Shootdown dispatches on the variant exactly once and
-   everything protocol-specific flows through these hooks. *)
+   Opts.protocol constructor (proto_paper — which also defines the FreeBSD
+   and unsafe-lazy variants — proto_oracle, proto_sync, proto_queue);
+   Shootdown dispatches on the variant exactly once and everything
+   protocol-specific flows through these hooks. Each backend registers its
+   IPI handler through Flush_core.shootdown_irq. *)
 
 type t = {
   name : string;
       (* stable label, = Opts.protocol_label of the matching constructor *)
-  full_only : bool;
+  always_full : bool;
       (* flush-decision hook: request construction never builds ranged
-         infos (the oracle: full, always) *)
-  eager_user_full : bool;
-      (* flush-decision hook: a local full flush invalidates the user PCID
-         on the spot instead of deferring to return-to-user *)
-  honors_batching : bool;
-      (* the §4.2 userspace-batching deferral applies under this backend *)
-  honors_cow : bool;
-      (* the §4.1 CoW local-flush elision applies under this backend *)
-  irq_id : Machine.t -> int;
-      (* ipi-handler hook: the backend's registered shootdown irq, created
-         at the machine's first shootdown and cached in
-         Machine.proto_irq_id *)
+         infos, and a local full flush invalidates the user PCID on the
+         spot instead of deferring to return-to-user (the oracle) *)
+  paper_elisions : bool;
+      (* the §4.2 userspace-batching deferral and the §4.1 CoW local-flush
+         elision apply under this backend *)
   perform :
     Machine.t -> from:int -> mm:Mm_struct.t -> Flush_info.t -> Checker.token -> unit;
       (* one complete shootdown for an info whose generation is already

@@ -16,20 +16,22 @@ let backend m : Protocol.t =
   | Opts.Oracle -> Proto_oracle.backend
   | Opts.Sync_broadcast -> Proto_sync.backend
   | Opts.Queue_spin -> Proto_queue.backend
+  | Opts.Freebsd -> Proto_paper.freebsd
+  | Opts.Unsafe_lazy -> Proto_paper.unsafe_lazy
 
 let flush_pending_user = Flush_core.flush_pending_user
 let return_to_user = Flush_core.return_to_user
 
 let flush_tlb_func m ~cpu info =
   flush_tlb_func_impl m ~cpu ~user:(default_user_policy m info)
-    ~eager_user:(backend m).Protocol.eager_user_full info
+    ~eager_user:(backend m).Protocol.always_full info
 
 (* One complete shootdown for [info], generation already bumped. *)
 let perform m ~from ~mm (info : Flush_info.t) token =
   (backend m).Protocol.perform m ~from ~mm info token
 
 let make_info m ~mm ~start_vpn ~pages ~stride ~freed_tables ~new_tlb_gen =
-  if (backend m).Protocol.full_only then
+  if (backend m).Protocol.always_full then
     (* The oracle never sends ranged flushes: full, always. *)
     Flush_info.full ~mm_id:(Mm_struct.id mm) ~freed_tables ~new_tlb_gen ()
   else if pages > m.Machine.opts.Opts.full_flush_threshold then
@@ -52,7 +54,7 @@ let flush_tlb_mm_range m ~from ~mm ~start_vpn ~pages ?(stride = Tlb.Four_k)
   let token = Machine.begin_window m ~cpu:from info in
   if
     opts.Opts.userspace_batching && pcpu.Percpu.batched_mode && (not freed_tables)
-    && (backend m).Protocol.honors_batching
+    && (backend m).Protocol.paper_elisions
   then begin
     (* §4.2: defer the flush to the mmap_sem-release barrier. Flushes that
        free page tables are never deferred: the tables must be gone from
@@ -80,7 +82,8 @@ let flush_tlb_page_cow m ~from ~mm ~vpn ~executable =
      unusable for executable mappings (§4.1). The elision composes with the
      paper protocol's targeted remote machinery only; other backends take
      the ordinary flush path. *)
-  if not (opts.Opts.cow_avoid_flush && (not executable) && (backend m).Protocol.honors_cow)
+  if
+    not (opts.Opts.cow_avoid_flush && (not executable) && (backend m).Protocol.paper_elisions)
   then flush_tlb_page m ~from ~mm ~vpn
   else begin
     Machine.charge_atomic m (Mm_struct.line mm) ~by:from;
@@ -113,11 +116,8 @@ let flush_tlb_page_cow m ~from ~mm ~vpn ~executable =
       Machine.end_window m ~cpu:from ~mm_id:(Mm_struct.id mm) token
     else begin
       stats.Machine.shootdowns <- stats.Machine.shootdowns + 1;
-      let early_ack = opts.Opts.early_ack in
-      let cfds = Smp.enqueue_work m ~from ~targets ~info ~early_ack in
-      Smp.send_ipis m ~from ~targets ~irq_id:(Proto_paper.irq_id m);
-      if Machine.metering m then
-        record_prep m ~from ~targets (Machine.now m - sel0);
+      let sel_dt = Machine.now m - sel0 in
+      let cfds = Proto_paper.send_remote m ~from ~targets ~sel_dt info in
       Smp.wait_for_acks m ~from cfds ();
       Machine.end_window m ~cpu:from ~mm_id:(Mm_struct.id mm) token
     end
@@ -178,7 +178,7 @@ let check_and_sync_tlb m ~cpu =
       if slot.Percpu.slot_mm = Mm_struct.id mm
          && slot.Percpu.gen_seen < Mm_struct.tlb_gen mm
       then begin
-        local_full_flush m ~cpu ~eager_user:(backend m).Protocol.eager_user_full pcpu;
+        local_full_flush m ~cpu ~eager_user:(backend m).Protocol.always_full pcpu;
         slot.Percpu.gen_seen <- Mm_struct.tlb_gen mm;
         if Machine.tracing m then
           Machine.trace_event m ~cpu

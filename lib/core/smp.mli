@@ -10,7 +10,8 @@
     head. *)
 
 (** The shootdown IPI vector (CALL_FUNCTION_SINGLE_VECTOR-ish); the vector
-    {!Shootdown} stamps on the irq records it registers with the APIC. *)
+    {!Flush_core.shootdown_irq} stamps on the irq record it registers with
+    the APIC. *)
 val tlb_shootdown_vector : int
 
 (** Read the "is this CPU lazy / in a batched syscall" state of [target]
@@ -33,11 +34,11 @@ val enqueue_work :
   Percpu.cfd array
 
 (** Send the shootdown vector to [targets]; the pre-registered irq
-    [irq_id] (see {!Apic.register_irq}) runs on each target when it
+    [irq_id] (see {!Flush_core.shootdown_irq}) runs on each target when it
     services the IPI. Pays the sender's ICR-write cost inline. Taking an
-    id instead of a handler keeps the send path allocation-free: the two
-    shootdown handlers are fixed per machine, so {!Shootdown} registers
-    each once and reuses it for every send. *)
+    id instead of a handler keeps the send path allocation-free: the
+    backend's handler is fixed per machine, so it is registered once and
+    reused for every send. *)
 val send_ipis : Machine.t -> from:int -> targets:Cpuset.t -> irq_id:int -> unit
 
 (** Responder: drain this CPU's call queue, paying the queue and CFD/info

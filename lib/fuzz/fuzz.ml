@@ -9,8 +9,8 @@
    threads pinned to distinct CPUs, and a sequence of kernel operations
    over the mm those workers share (plus any address spaces fork creates).
    The program is executed twice on machines that differ only in the flush
-   protocol: the backend under test, and [Opts.oracle] — every PTE change
-   one synchronous whole-TLB broadcast, nothing deferred, nothing
+   protocol: the backend under test, and the [Oracle] backend — every PTE
+   change one synchronous whole-TLB broadcast, nothing deferred, nothing
    skipped.
 
    Ops execute sequentially (a driver process hands one op at a time to
@@ -114,9 +114,12 @@ let gen_program ?(max_ops = 32) ?(inject_bug = false) seed =
   (* The backend under test comes from disjoint seed bits (6..), so the
      protocol axis never aliases the optimization-combo axis: seeds
      0..63 exercise every combo on the paper backend, 64..127 on
-     sync-broadcast, 128..191 on queue-spin, then the cycle repeats.
-     The oracle is never the subject — it is always the reference. *)
-  let protocols = [| Opts.Paper; Opts.Sync_broadcast; Opts.Queue_spin |] in
+     sync-broadcast, 128..191 on queue-spin, 192..255 on freebsd, then
+     the cycle repeats. The oracle is never the subject — it is always
+     the reference — and the unsafe-lazy strawman is never on the axis. *)
+  let protocols =
+    [| Opts.Paper; Opts.Sync_broadcast; Opts.Queue_spin; Opts.Freebsd |]
+  in
   let protocol = protocols.(seed lsr 6 mod Array.length protocols) in
   (* The injected bug drops deferred user flushes, which only exist under
      PTI with §3.4 on — force that combination so --inject-bug always
@@ -467,7 +470,7 @@ let program_opts program =
 
 let run_program program =
   let optimized = execute program ~opts:(program_opts program) in
-  let oracle = execute program ~opts:(Opts.oracle ~safe:program.p_safe) in
+  let oracle = execute program ~opts:(Opts.with_protocol Opts.Oracle ~safe:program.p_safe) in
   compare_runs ~optimized ~oracle
 
 (* ---------- shrinking (ddmin) ---------- *)

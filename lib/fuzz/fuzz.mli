@@ -1,10 +1,11 @@
 (** Differential fuzzing of the shootdown protocol against the
-    conservative oracle ({!Opts.oracle}).
+    conservative oracle ([Opts.Oracle]).
 
     Each seed deterministically generates a program — random topology,
     random [Opts] combination (all 64 subsets reached via [seed mod 64]),
-    a protocol backend from disjoint seed bits ([seed lsr 6 mod 3]: seeds
-    0..63 paper, 64..127 sync-broadcast, 128..191 queue-spin, repeating),
+    a protocol backend from disjoint seed bits ([seed lsr 6 mod 4]: seeds
+    0..63 paper, 64..127 sync-broadcast, 128..191 queue-spin, 192..255
+    freebsd, repeating),
     worker threads pinned to distinct CPUs, and a sequence of kernel ops
     over their address spaces — then executes it twice: under the backend
     under test and under the oracle (every PTE change one synchronous

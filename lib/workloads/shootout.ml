@@ -33,7 +33,7 @@ let backends () =
   [
     ("paper", Opts.all ~safe:true);
     ("paper-baseline", Opts.baseline ~safe:true);
-    ("oracle", Opts.oracle ~safe:true);
+    ("oracle", Opts.with_protocol Opts.Oracle ~safe:true);
     ("sync-broadcast", Opts.with_protocol Opts.Sync_broadcast ~safe:true);
     ("queue-spin", Opts.with_protocol Opts.Queue_spin ~safe:true);
   ]
@@ -163,7 +163,7 @@ let run ?pte_count ?iterations ?seed ~jobs format =
 let workload_backends () =
   [
     ("paper", Opts.all ~safe:true);
-    ("oracle", Opts.oracle ~safe:true);
+    ("oracle", Opts.with_protocol Opts.Oracle ~safe:true);
     ("sync-broadcast", Opts.with_protocol Opts.Sync_broadcast ~safe:true);
     ("queue-spin", Opts.with_protocol Opts.Queue_spin ~safe:true);
   ]

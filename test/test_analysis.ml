@@ -176,8 +176,7 @@ let test_latr_strawman_flagged_genuine () =
   (* The paper's §6 claim: LATR-style lazy batching (flush locally, never
      notify remote CPUs) is unsafe. With no IPI there is no happens-before
      edge to any remote CPU, so its post-close stale hits are genuine. *)
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.unsafe_lazy_batching <- true;
+  let opts = Opts.with_protocol Opts.Unsafe_lazy ~safe:true in
   let m, r = run_demo ~opts ~rounds:10 in
   check bool_t "stale hits occurred" true (r.Hb.stale_hits > 0);
   check bool_t "flagged genuine" true (r.Hb.genuine > 0);
@@ -262,7 +261,7 @@ let test_explore_all_flag_combos () =
    hits may classify unordered-latent — the checker's wall-clock window
    excuses them — but never genuine. *)
 let test_explore_alternative_backends () =
-  let protocols = [ Opts.Oracle; Opts.Sync_broadcast; Opts.Queue_spin ] in
+  let protocols = [ Opts.Oracle; Opts.Sync_broadcast; Opts.Queue_spin; Opts.Freebsd ] in
   let results =
     Explorer.explore_set ~config:quick_config ~jobs:2
       (List.map

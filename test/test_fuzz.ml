@@ -24,24 +24,28 @@ let test_combo_coverage () =
   check int_t "all combos reached" 64 (List.length (List.sort_uniq compare combos))
 
 (* The protocol axis uses seed bits disjoint from the 6 combo bits: the
-   three non-oracle backends cycle every 64 seeds, and seeds 64 apart
+   four non-oracle safe backends cycle every 64 seeds, and seeds 64 apart
    differ only in backend (same combo — the generator consumes no extra
    RNG draws for the protocol choice). *)
 let test_protocol_axis_coverage () =
-  let programs = List.init 192 Fuzz.gen_program in
+  let programs = List.init 256 Fuzz.gen_program in
   let count p =
     List.length (List.filter (fun pr -> pr.Fuzz.p_protocol = p) programs)
   in
   check int_t "64 paper seeds" 64 (count Opts.Paper);
   check int_t "64 sync-broadcast seeds" 64 (count Opts.Sync_broadcast);
   check int_t "64 queue-spin seeds" 64 (count Opts.Queue_spin);
+  check int_t "64 freebsd seeds" 64 (count Opts.Freebsd);
   check int_t "oracle is never the subject" 0 (count Opts.Oracle);
+  check int_t "the strawman is never on the axis" 0 (count Opts.Unsafe_lazy);
   check bool_t "seeds 0..63 run the paper backend" true
     ((Fuzz.gen_program 5).Fuzz.p_protocol = Opts.Paper);
   check bool_t "seeds 64..127 run sync-broadcast" true
     ((Fuzz.gen_program 69).Fuzz.p_protocol = Opts.Sync_broadcast);
   check bool_t "seeds 128..191 run queue-spin" true
     ((Fuzz.gen_program 133).Fuzz.p_protocol = Opts.Queue_spin);
+  check bool_t "seeds 192..255 run freebsd" true
+    ((Fuzz.gen_program 197).Fuzz.p_protocol = Opts.Freebsd);
   check int_t "combo bits independent of the protocol bits"
     (Fuzz.gen_program 5).Fuzz.p_combo
     (Fuzz.gen_program 69).Fuzz.p_combo
@@ -94,8 +98,8 @@ let test_inject_bug_caught_and_shrunk () =
 
 (* Committed regression seeds: the first injected-bug divergence found in
    each backend's seed window (56 paper, 67 sync-broadcast, 146
-   queue-spin), kept as fixed true-positives so oracle, generator or
-   backend changes that blind the fuzzer fail loudly. The injected bug
+   queue-spin, 196 freebsd), kept as fixed true-positives so oracle,
+   generator or backend changes that blind the fuzzer fail loudly. The injected bug
    lives in the shared deferred-flush path, so every backend must expose
    it. *)
 let regression_seed label seed () =
@@ -112,6 +116,7 @@ let regression_seed label seed () =
 let test_regression_seed_56 = regression_seed "paper" 56
 let test_regression_seed_67 = regression_seed "sync-broadcast" 67
 let test_regression_seed_146 = regression_seed "queue-spin" 146
+let test_regression_seed_196 = regression_seed "freebsd" 196
 
 let test_run_seeds_report () =
   let r = Fuzz.run_seeds ~seed_base:0 ~count:8 ~jobs:2 ~shrink:false () in
@@ -134,5 +139,7 @@ let suite =
       test_regression_seed_67;
     Alcotest.test_case "inject: regression seed 146 (queue-spin)" `Quick
       test_regression_seed_146;
+    Alcotest.test_case "inject: regression seed 196 (freebsd)" `Quick
+      test_regression_seed_196;
     Alcotest.test_case "sharded run_seeds" `Quick test_run_seeds_report;
   ]

@@ -11,13 +11,25 @@ let int_t = Alcotest.int
 
 (* ---------- key / memo separation ---------- *)
 
+(* Every constructor: the safe backends plus the strawman [all_protocols]
+   leaves out. *)
+let every_protocol = Opts.Unsafe_lazy :: Opts.all_protocols
+
 let test_opts_key_distinct_per_protocol () =
+  check int_t "six constructors" 6 (List.length every_protocol);
   let keys =
-    List.map (fun p -> Opts.key (Opts.with_protocol p ~safe:true)) Opts.all_protocols
+    List.map (fun p -> Opts.key (Opts.with_protocol p ~safe:true)) every_protocol
   in
   check int_t "every protocol keys differently"
-    (List.length Opts.all_protocols)
-    (List.length (List.sort_uniq compare keys))
+    (List.length every_protocol)
+    (List.length (List.sort_uniq compare keys));
+  List.iter
+    (fun p ->
+      check bool_t
+        (Opts.protocol_label p ^ ": label round-trips")
+        true
+        (Opts.protocol_of_string (Opts.protocol_label p) = Some p))
+    every_protocol
 
 let micro_config protocol =
   let opts = Opts.with_protocol protocol ~safe:true in
@@ -150,7 +162,7 @@ let test_queue_ring_overflow_collapses_to_flush_all () =
    the scattered [oracle_flush] branches used to guard against. *)
 let test_oracle_ignores_combo_flags () =
   let program = Fuzz.gen_program 11 in
-  let reference = Fuzz.execute ~opts:(Opts.oracle ~safe:true) program in
+  let reference = Fuzz.execute ~opts:(Opts.with_protocol Opts.Oracle ~safe:true) program in
   List.iter
     (fun combo ->
       let opts =
@@ -190,7 +202,7 @@ let test_backends_match_oracle_on_corpus () =
                 seed
                 (String.concat "; " reasons))
         seeds)
-    [ Opts.Paper; Opts.Sync_broadcast; Opts.Queue_spin ]
+    [ Opts.Paper; Opts.Sync_broadcast; Opts.Queue_spin; Opts.Freebsd ]
 
 (* ---------- queue-spin resend ladder ---------- *)
 

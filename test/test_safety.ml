@@ -78,8 +78,7 @@ let test_lazy_batching_strawman_violates () =
   (* The point of §2.3.2: skipping the IPIs entirely and pretending the
      flush completed lets remote CPUs read through stale translations of
      recycled frames. The checker must catch it. *)
-  let opts = Opts.baseline ~safe:true in
-  opts.Opts.unsafe_lazy_batching <- true;
+  let opts = Opts.with_protocol Opts.Unsafe_lazy ~safe:true in
   let m = churn ~opts ~rounds:40 in
   check bool_t "violations detected" true (Checker.violation_count m.Machine.checker > 0);
   match Checker.violations m.Machine.checker with

@@ -25,11 +25,11 @@ let rec access m ~cpu ~vaddr ~write ~attempt =
   Cpu.service_pending (Machine.cpu m cpu);
   Machine.delay m costs.Costs.mem_access;
   match Tlb.lookup tlb ~pcid ~vpn with
-  | Some entry ->
+  | slot when slot >= 0 ->
       let pt = Mm_struct.page_table mm in
       (match
          Checker.check_hit m.Machine.checker ~now:(Machine.now m) ~cpu
-           ~mm_id:(Mm_struct.id mm) ~vpn ~write ~entry ~pt
+           ~mm_id:(Mm_struct.id mm) ~vpn ~write ~tlb ~slot ~pt
        with
       | `Clean -> ()
       | `Benign detail ->
@@ -40,14 +40,14 @@ let rec access m ~cpu ~vaddr ~write ~attempt =
           if Machine.tracing m then
             Machine.trace_event m ~cpu
               (Trace.Stale_hit { mm_id = Mm_struct.id mm; vpn; benign = false; detail }));
-      if write && not entry.Tlb.writable then begin
+      if write && not (Tlb.writable tlb slot) then begin
         (* Permission fault; the hardware invalidates the faulting entry. *)
         Tlb.drop tlb ~pcid ~vpn;
         Fault.handle m ~cpu ~mm ~vaddr ~write;
         access m ~cpu ~vaddr ~write ~attempt:(attempt + 1)
       end
-      else entry.Tlb.pfn + (vpn - entry.Tlb.vpn)
-  | None -> begin
+      else Tlb.pfn tlb slot + (vpn - Tlb.vpn tlb slot)
+  | _ -> begin
       let pt = Mm_struct.page_table mm in
       match Page_table.walk pt ~vpn with
       | Some w

@@ -96,7 +96,7 @@ let record t v =
 let mm_bits = 20
 let mm_limit = 1 lsl mm_bits
 
-let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
+let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~tlb ~slot ~pt =
   if not t.on then `Clean
   else begin
     t.n_checks <- t.n_checks + 1;
@@ -109,7 +109,7 @@ let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
     let stamp =
       if mm_id < mm_limit then (Page_table.version pt lsl mm_bits) lor mm_id else -1
     in
-    if stamp >= 0 && entry.Tlb.ck_ver = stamp then `Clean
+    if stamp >= 0 && Tlb.ck_ver tlb slot = stamp then `Clean
     else begin
       match Page_table.walk pt ~vpn with
       | None ->
@@ -128,10 +128,11 @@ let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
             match w.size with Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511
           in
           let walk_pfn = w.pte.Pte.pfn + (vpn - walk_base) in
-          let entry_pfn = entry.Tlb.pfn + (vpn - entry.Tlb.vpn) in
+          let entry_pfn = Tlb.pfn tlb slot + (vpn - Tlb.vpn tlb slot) in
+          let entry_writable = Tlb.writable tlb slot in
           let stale_reason =
             if entry_pfn <> walk_pfn then Some "page remapped to a different frame"
-            else if write && entry.Tlb.writable && not w.pte.Pte.writable then
+            else if write && entry_writable && not w.pte.Pte.writable then
               Some "write through a since-write-protected mapping"
             else None
           in
@@ -141,8 +142,8 @@ let check_hit t ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
                  clean at this version: a writable entry over a
                  write-protected PTE is clean for reads but must keep
                  walking so a later write still gets flagged. *)
-              if stamp >= 0 && ((not entry.Tlb.writable) || w.pte.Pte.writable) then
-                entry.Tlb.ck_ver <- stamp;
+              if stamp >= 0 && ((not entry_writable) || w.pte.Pte.writable) then
+                Tlb.set_ck_ver tlb slot stamp;
               `Clean
           | Some reason ->
               if covered t ~mm_id ~vpn then begin

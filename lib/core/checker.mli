@@ -63,10 +63,11 @@ val covered : t -> mm_id:int -> vpn:int -> bool
     Records a violation (or counts a benign race) if the entry is stale, and
     returns the classification so the caller can trace it.
 
-    The software walk of [pt] is skipped when [entry] was already validated
+    The hit is row [slot] of [tlb], as returned by {!Hw.Tlb.lookup}. The
+    software walk of [pt] is skipped when the row was already validated
     clean against [pt]'s current {!Mm.Page_table.version} (stamped into
-    [entry.ck_ver]) — every page-table mutation bumps the version, so an
-    unchanged stamp proves an unchanged verdict. *)
+    its {!Hw.Tlb.ck_ver}) — every page-table mutation bumps the version,
+    so an unchanged stamp proves an unchanged verdict. *)
 val check_hit :
   t ->
   now:int ->
@@ -74,7 +75,8 @@ val check_hit :
   mm_id:int ->
   vpn:int ->
   write:bool ->
-  entry:Tlb.entry ->
+  tlb:Tlb.t ->
+  slot:int ->
   pt:Page_table.t ->
   result
 

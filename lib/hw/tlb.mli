@@ -25,10 +25,12 @@ type entry = {
   global : bool;  (** G-bit entries survive CR3 writes *)
   writable : bool;
   fractured : bool;  (** produced by a guest-2M x host-4K nested walk *)
-  mutable ck_ver : int;
+  ck_ver : int;
       (** scratch for {!Core.Checker}: the packed page-table version this
           entry was last validated against, [-1] when never validated. Not
-          part of the hardware model. *)
+          part of the hardware model. {!insert} copies it into the row;
+          afterwards it is read and written through {!ck_ver} and
+          {!set_ck_ver}. *)
 }
 
 type stats = {
@@ -44,8 +46,13 @@ type stats = {
 
 type t
 
-(** [create ~capacity ()] with FIFO eviction. Default capacity 1536 (Skylake
-    STLB-sized). *)
+(** [create ~capacity ()]: fully associative, FIFO eviction over the
+    non-global entries; global entries sit outside [capacity]. Default
+    capacity 1536 (Skylake STLB-sized). Storage starts small and doubles as
+    entries arrive.
+
+    Every entry point that takes a PCID raises [Invalid_argument] when it
+    is outside 0..4095. *)
 val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
@@ -57,13 +64,32 @@ val occupancy : t -> int
     ([full = false]: flush_pcid / cr3_flush). Used by the metrics layer. *)
 val set_flush_meter : t -> (bool -> int -> unit) -> unit
 
-(** [lookup t ~pcid ~vpn] checks the 4 KiB mapping, a covering 2 MiB
-    mapping, and global entries. Counts a hit or miss. *)
-val lookup : t -> pcid:int -> vpn:int -> entry option
+(** [lookup t ~pcid ~vpn] checks the 4 KiB mapping, the global 4 KiB
+    mapping, a covering 2 MiB mapping and a covering global 2 MiB mapping,
+    in that order. Counts a hit or miss. Returns the hit's row, or [-1] on a
+    miss. A row stays valid until the next call that inserts into or
+    flushes [t]; read it with the accessors below. *)
+val lookup : t -> pcid:int -> vpn:int -> int
 
 (** Is the translation present (no stats recorded)? *)
 val mem : t -> pcid:int -> vpn:int -> bool
 
+(** Base VPN of the page a row maps (a 2 MiB row's base is 512-aligned). *)
+val vpn : t -> int -> int
+
+(** Frame backing {!vpn}. *)
+val pfn : t -> int -> int
+
+val writable : t -> int -> bool
+
+(** The row's {!entry.ck_ver} scratch word. *)
+val ck_ver : t -> int -> int
+
+val set_ck_ver : t -> int -> int -> unit
+
+(** Copy [e] into the TLB. Overwriting a resident translation keeps its
+    FIFO position; a new non-global translation at capacity first evicts
+    the oldest one. *)
 val insert : t -> entry -> unit
 
 (** INVLPG: selective flush of [vpn] in the current PCID [current_pcid];
@@ -105,7 +131,8 @@ val fracture_flag : t -> bool
 val stats : t -> stats
 val reset_stats : t -> unit
 
-(** All current entries (testing/inspection). *)
+(** All current entries (testing/inspection): non-global entries oldest
+    first, i.e. in eviction order, then the globals in insertion order. *)
 val entries : t -> entry list
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -62,11 +62,11 @@ let fill t ~vpn =
     end
 
 let access t ~vpn =
-  match Tlb.lookup t.mmu_tlb ~pcid:t.pcid ~vpn with
-  | Some _ -> `Hit
-  | None ->
-      fill t ~vpn;
-      `Miss_filled
+  if Tlb.lookup t.mmu_tlb ~pcid:t.pcid ~vpn >= 0 then `Hit
+  else begin
+    fill t ~vpn;
+    `Miss_filled
+  end
 
 let touch_range t ~start_vpn ~pages =
   let hits = ref 0 and misses = ref 0 in

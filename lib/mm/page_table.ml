@@ -89,16 +89,17 @@ let find_leaf t vpn =
 
 (* The hot path: descend without materializing the (node, index) path that
    [find_leaf] builds for unmap's pruning — the level count alone gives
-   [levels] (root is level 4, so a leaf at level L took 5 - L lookups). *)
-let walk t ~vpn =
-  let rec go node =
-    match Array.unsafe_get node.slots (index_at ~level:node.level vpn) with
-    | Empty -> None
-    | Leaf (pte, size) ->
-        if pte.Pte.present then Some { pte; size; levels = 5 - node.level } else None
-    | Table child -> go child
-  in
-  go t.root
+   [levels] (root is level 4, so a leaf at level L took 5 - L lookups).
+   Top-level recursion over [vpn]: a local [go] would allocate a closure per
+   walk. *)
+let rec walk_from node vpn =
+  match Array.unsafe_get node.slots (index_at ~level:node.level vpn) with
+  | Empty -> None
+  | Leaf (pte, size) ->
+      if pte.Pte.present then Some { pte; size; levels = 5 - node.level } else None
+  | Table child -> walk_from child vpn
+
+let walk t ~vpn = walk_from t.root vpn
 
 (* Base VPN of the page a leaf at (level, idx along path) covers. *)
 let leaf_base vpn = function Tlb.Four_k -> vpn | Tlb.Two_m -> vpn land lnot 511

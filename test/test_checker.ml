@@ -9,10 +9,17 @@ let entry ~vpn ~pfn =
   { Tlb.vpn; pfn; pcid = 1; size = Tlb.Four_k; global = false; writable = true;
     fractured = false; ck_ver = -1 }
 
+(* A TLB holding [e] alone, and the row a lookup of [e] hits. *)
+let row_of e =
+  let tlb = Tlb.create () in
+  Tlb.insert tlb e;
+  (tlb, Tlb.lookup tlb ~pcid:e.Tlb.pcid ~vpn:e.Tlb.vpn)
+
 (* An empty page table: the walk misses, so any hit through it is stale. *)
 let stale_hit ?(now = 0) ?(cpu = 0) ?(mm_id = 1) ?(vpn = 10) c =
-  Checker.check_hit c ~now ~cpu ~mm_id ~vpn ~write:false
-    ~entry:(entry ~vpn ~pfn:5) ~pt:(Page_table.create ())
+  let tlb, slot = row_of (entry ~vpn ~pfn:5) in
+  Checker.check_hit c ~now ~cpu ~mm_id ~vpn ~write:false ~tlb ~slot
+    ~pt:(Page_table.create ())
 
 (* --- classification results --- *)
 
@@ -20,20 +27,20 @@ let test_clean_result () =
   let c = Checker.create () in
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:5);
-  let e = entry ~vpn:10 ~pfn:5 in
-  let r = Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:true ~entry:e ~pt in
+  let tlb, slot = row_of (entry ~vpn:10 ~pfn:5) in
+  let r = Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:true ~tlb ~slot ~pt in
   check bool_t "clean" true (r = `Clean);
   check int_t "no benign races" 0 (Checker.benign_races c);
   (* The clean verdict is stamped into the entry; a re-check against the
      unchanged table takes the walk-free path and agrees. *)
-  check bool_t "stamped" true (e.Tlb.ck_ver >= 0);
-  let r2 = Checker.check_hit c ~now:1 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:true ~entry:e ~pt in
+  check bool_t "stamped" true (Tlb.ck_ver tlb slot >= 0);
+  let r2 = Checker.check_hit c ~now:1 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:true ~tlb ~slot ~pt in
   check bool_t "clean via stamp" true (r2 = `Clean);
   (* Any mutation bumps the version: the stamp stops matching and the next
      check walks again, seeing the remap. *)
   ignore (Page_table.unmap pt ~vpn:10 () : Page_table.range_unmap);
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:99);
-  (match Checker.check_hit c ~now:2 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false ~entry:e ~pt with
+  (match Checker.check_hit c ~now:2 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false ~tlb ~slot ~pt with
   | `Violation reason ->
       check Alcotest.string "restale" "page remapped to a different frame" reason
   | `Clean | `Benign _ -> Alcotest.fail "stamp must not survive a version bump")
@@ -46,10 +53,8 @@ let test_violation_result_carries_reason () =
   | `Clean | `Benign _ -> Alcotest.fail "expected a violation");
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:99);
-  match
-    Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false
-      ~entry:(entry ~vpn:10 ~pfn:5) ~pt
-  with
+  let tlb, slot = row_of (entry ~vpn:10 ~pfn:5) in
+  match Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false ~tlb ~slot ~pt with
   | `Violation reason ->
       check Alcotest.string "remap reason" "page remapped to a different frame" reason
   | `Clean | `Benign _ -> Alcotest.fail "expected a remap violation"
@@ -61,16 +66,43 @@ let test_write_protected_read_not_stamped () =
   let c = Checker.create () in
   let pt = Page_table.create () in
   Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.write_protect (Pte.user_data ~pfn:5));
-  let e = entry ~vpn:10 ~pfn:5 in
-  (match Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false ~entry:e ~pt with
+  let tlb, slot = row_of (entry ~vpn:10 ~pfn:5) in
+  (match Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false ~tlb ~slot ~pt with
   | `Clean -> ()
   | `Benign _ | `Violation _ -> Alcotest.fail "read through it is clean");
-  check bool_t "not stamped" true (e.Tlb.ck_ver = -1);
-  match Checker.check_hit c ~now:1 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:true ~entry:e ~pt with
+  check bool_t "not stamped" true (Tlb.ck_ver tlb slot = -1);
+  match Checker.check_hit c ~now:1 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:true ~tlb ~slot ~pt with
   | `Violation reason ->
       check Alcotest.string "write reason" "write through a since-write-protected mapping"
         reason
   | `Clean | `Benign _ -> Alcotest.fail "write must be flagged"
+
+(* The stamp lives in the TLB row, and rows are recycled: an entry
+   validated clean, then evicted, must not lend its stamp to the next
+   tenant of its row. The tenant maps a different frame than the page
+   table, so its first hit has to walk and be flagged. *)
+let test_stamp_not_inherited_by_reused_row () =
+  let c = Checker.create () in
+  let pt = Page_table.create () in
+  Page_table.map pt ~vpn:10 ~size:Tlb.Four_k (Pte.user_data ~pfn:5);
+  Page_table.map pt ~vpn:11 ~size:Tlb.Four_k (Pte.user_data ~pfn:8);
+  let tlb = Tlb.create ~capacity:1 () in
+  Tlb.insert tlb (entry ~vpn:10 ~pfn:5);
+  let slot = Tlb.lookup tlb ~pcid:1 ~vpn:10 in
+  (match Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:10 ~write:false ~tlb ~slot ~pt with
+  | `Clean -> ()
+  | `Benign _ | `Violation _ -> Alcotest.fail "first tenant is clean");
+  check bool_t "stamped" true (Tlb.ck_ver tlb slot >= 0);
+  Tlb.insert tlb (entry ~vpn:11 ~pfn:9);
+  check int_t "evicted" 1 (Tlb.stats tlb).Tlb.evictions;
+  let slot' = Tlb.lookup tlb ~pcid:1 ~vpn:11 in
+  check int_t "row recycled" slot slot';
+  match
+    Checker.check_hit c ~now:1 ~cpu:0 ~mm_id:1 ~vpn:11 ~write:false ~tlb ~slot:slot' ~pt
+  with
+  | `Violation reason ->
+      check Alcotest.string "walked and flagged" "page remapped to a different frame" reason
+  | `Clean | `Benign _ -> Alcotest.fail "a recycled row must not inherit the stamp"
 
 let test_benign_inside_window () =
   let c = Checker.create () in
@@ -232,6 +264,8 @@ let suite =
     Alcotest.test_case "result: violation reasons" `Quick test_violation_result_carries_reason;
     Alcotest.test_case "result: write-protected read not stamped" `Quick
       test_write_protected_read_not_stamped;
+    Alcotest.test_case "result: reused row not stamped" `Quick
+      test_stamp_not_inherited_by_reused_row;
     Alcotest.test_case "result: benign inside window" `Quick test_benign_inside_window;
     Alcotest.test_case "windows: cover vpn and mm" `Quick test_window_must_cover_vpn_and_mm;
     Alcotest.test_case "windows: covered query" `Quick test_covered_matches_classification;

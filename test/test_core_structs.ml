@@ -334,7 +334,10 @@ let empty_pt () = Page_table.create ()
 
 (* Run a hit check for its recording side effects only. *)
 let run_hit c ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt =
-  ignore (Checker.check_hit c ~now ~cpu ~mm_id ~vpn ~write ~entry ~pt : Checker.result)
+  let tlb = Tlb.create () in
+  Tlb.insert tlb entry;
+  let slot = Tlb.lookup tlb ~pcid:entry.Tlb.pcid ~vpn:entry.Tlb.vpn in
+  ignore (Checker.check_hit c ~now ~cpu ~mm_id ~vpn ~write ~tlb ~slot ~pt : Checker.result)
 
 let test_checker_clean_hit () =
   let c = Checker.create () in

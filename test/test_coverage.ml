@@ -43,12 +43,13 @@ let test_apic_and_tlb_stat_resets () =
 
 let test_checker_clear () =
   let c = Checker.create () in
+  let tlb = Tlb.create () in
+  Tlb.insert tlb
+    { Tlb.vpn = 1; pfn = 1; pcid = 1; size = Tlb.Four_k; global = false;
+      writable = true; fractured = false; ck_ver = -1 };
   ignore
-    (Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:1 ~write:false
-       ~entry:
-         { Tlb.vpn = 1; pfn = 1; pcid = 1; size = Tlb.Four_k; global = false;
-           writable = true; fractured = false; ck_ver = -1 }
-       ~pt:(Page_table.create ())
+    (Checker.check_hit c ~now:0 ~cpu:0 ~mm_id:1 ~vpn:1 ~write:false ~tlb
+       ~slot:(Tlb.lookup tlb ~pcid:1 ~vpn:1) ~pt:(Page_table.create ())
       : Checker.result);
   check int_t "one violation" 1 (Checker.violation_count c);
   Checker.clear c;

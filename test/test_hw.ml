@@ -158,11 +158,11 @@ let entry ?(pcid = 1) ?(global = false) ?(size = Tlb.Four_k) ?(fractured = false
 
 let test_tlb_hit_miss () =
   let t = Tlb.create () in
-  check bool_t "miss" true (Tlb.lookup t ~pcid:1 ~vpn:100 = None);
+  check int_t "miss" (-1) (Tlb.lookup t ~pcid:1 ~vpn:100);
   Tlb.insert t (entry ~vpn:100 ~pfn:5 ());
-  (match Tlb.lookup t ~pcid:1 ~vpn:100 with
-  | Some e -> check int_t "pfn" 5 e.Tlb.pfn
-  | None -> Alcotest.fail "expected hit");
+  let row = Tlb.lookup t ~pcid:1 ~vpn:100 in
+  if row < 0 then Alcotest.fail "expected hit";
+  check int_t "pfn" 5 (Tlb.pfn t row);
   let s = Tlb.stats t in
   check int_t "one hit" 1 s.Tlb.hits;
   check int_t "one miss" 1 s.Tlb.misses
@@ -170,19 +170,19 @@ let test_tlb_hit_miss () =
 let test_tlb_pcid_isolation () =
   let t = Tlb.create () in
   Tlb.insert t (entry ~pcid:1 ~vpn:100 ~pfn:5 ());
-  check bool_t "other pcid misses" true (Tlb.lookup t ~pcid:2 ~vpn:100 = None)
+  check bool_t "other pcid misses" true (Tlb.lookup t ~pcid:2 ~vpn:100 < 0)
 
 let test_tlb_global_matches_any_pcid () =
   let t = Tlb.create () in
   Tlb.insert t (entry ~pcid:1 ~global:true ~vpn:200 ~pfn:9 ());
-  check bool_t "hit under pcid 7" true (Tlb.lookup t ~pcid:7 ~vpn:200 <> None)
+  check bool_t "hit under pcid 7" true (Tlb.lookup t ~pcid:7 ~vpn:200 >= 0)
 
 let test_tlb_huge_covers_4k_lookups () =
   let t = Tlb.create () in
   Tlb.insert t (entry ~size:Tlb.Two_m ~vpn:1024 ~pfn:4096 ());
-  check bool_t "base hit" true (Tlb.lookup t ~pcid:1 ~vpn:1024 <> None);
-  check bool_t "offset hit" true (Tlb.lookup t ~pcid:1 ~vpn:(1024 + 511) <> None);
-  check bool_t "outside misses" true (Tlb.lookup t ~pcid:1 ~vpn:(1024 + 512) = None)
+  check bool_t "base hit" true (Tlb.lookup t ~pcid:1 ~vpn:1024 >= 0);
+  check bool_t "offset hit" true (Tlb.lookup t ~pcid:1 ~vpn:(1024 + 511) >= 0);
+  check bool_t "outside misses" true (Tlb.lookup t ~pcid:1 ~vpn:(1024 + 512) < 0)
 
 let test_tlb_invlpg_selective () =
   let t = Tlb.create () in
@@ -281,49 +281,244 @@ let test_tlb_reinsert_after_invalidate_is_youngest () =
   check int_t "exactly one eviction" 1 (Tlb.stats t).Tlb.evictions;
   check int_t "occupancy exact" 4 (Tlb.occupancy t)
 
-(* Random inserts/overwrites/invalidations/flushes against a reference
-   FIFO model: membership, occupancy and eviction victim must match the
-   model after every operation. *)
+(* Reference model for [Tlb]: non-global entries oldest first (FIFO, the
+   eviction order) and globals in insertion order, outside capacity. An
+   insert overwrites the entry with the same key in place; a new
+   non-global key at capacity evicts the head. *)
+type tlb_model = {
+  cap : int;
+  mutable locals : Tlb.entry list;
+  mutable globals : Tlb.entry list;
+}
+
+let model_tag (e : Tlb.entry) =
+  match e.Tlb.size with Tlb.Four_k -> e.Tlb.vpn | Tlb.Two_m -> e.Tlb.vpn lsr 9
+
+let same_key (a : Tlb.entry) (b : Tlb.entry) =
+  a.Tlb.size = b.Tlb.size
+  && model_tag a = model_tag b
+  && (a.Tlb.global || a.Tlb.pcid = b.Tlb.pcid)
+
+let model_insert m (e : Tlb.entry) =
+  let put l =
+    if List.exists (same_key e) l then
+      Some (List.map (fun x -> if same_key e x then e else x) l)
+    else None
+  in
+  if e.Tlb.global then
+    m.globals <- (match put m.globals with Some l -> l | None -> m.globals @ [ e ])
+  else
+    m.locals <-
+      (match put m.locals with
+      | Some l -> l
+      | None ->
+          let room = if List.length m.locals >= m.cap then List.tl m.locals else m.locals in
+          room @ [ e ])
+
+(* Does [e] translate [vpn] at [size]? *)
+let covers size vpn (e : Tlb.entry) =
+  e.Tlb.size = size
+  && match size with Tlb.Four_k -> e.Tlb.vpn = vpn | Tlb.Two_m -> model_tag e = vpn lsr 9
+
+(* Probe order: 4K, global 4K, 2M, global 2M. *)
+let model_find m ~pcid ~vpn =
+  let local size =
+    List.find_opt (fun e -> e.Tlb.pcid = pcid && covers size vpn e) m.locals
+  in
+  let global size = List.find_opt (covers size vpn) m.globals in
+  match local Tlb.Four_k with
+  | Some _ as r -> r
+  | None -> (
+      match global Tlb.Four_k with
+      | Some _ as r -> r
+      | None -> ( match local Tlb.Two_m with Some _ as r -> r | None -> global Tlb.Two_m))
+
+let model_drop m ~pcid ~vpn ~globals =
+  let hit e = covers Tlb.Four_k vpn e || covers Tlb.Two_m vpn e in
+  m.locals <- List.filter (fun e -> not (e.Tlb.pcid = pcid && hit e)) m.locals;
+  if globals then m.globals <- List.filter (fun e -> not (hit e)) m.globals
+
+(* After every operation the TLB must agree with the model on occupancy,
+   on [entries] (contents and order), and on every lookup in the domain,
+   read back through the row accessors. *)
+let check_against_model ~step t m ~pcids ~vpns =
+  if Tlb.occupancy t <> List.length m.locals + List.length m.globals then
+    Alcotest.failf "step %d: occupancy %d, model %d" step (Tlb.occupancy t)
+      (List.length m.locals + List.length m.globals);
+  if Tlb.entries t <> m.locals @ m.globals then
+    Alcotest.failf "step %d: entries differ" step;
+  List.iter
+    (fun pcid ->
+      List.iter
+        (fun vpn ->
+          let row = Tlb.lookup t ~pcid ~vpn in
+          match model_find m ~pcid ~vpn with
+          | None -> if row >= 0 then Alcotest.failf "step %d: (%d,%d) present" step pcid vpn
+          | Some e ->
+              if row < 0 then Alcotest.failf "step %d: (%d,%d) missing" step pcid vpn;
+              if
+                Tlb.vpn t row <> e.Tlb.vpn
+                || Tlb.pfn t row <> e.Tlb.pfn
+                || Tlb.writable t row <> e.Tlb.writable
+              then Alcotest.failf "step %d: (%d,%d) row disagrees" step pcid vpn)
+        vpns)
+    pcids
+
+(* Random inserts/overwrites/invalidations/flushes of 4K, 2M and global
+   entries against the model, at capacities 1-4 and 8. Vpns span three
+   2 MiB regions so hugepages cover, and are shadowed by, 4K entries. *)
 let test_tlb_random_vs_fifo_model () =
-  let cap = 8 in
-  let n_pcids = 2 and n_vpns = 24 in
-  let t = Tlb.create ~capacity:cap () in
-  (* Reference model: live (pcid, vpn) keys, oldest first. Overwriting a
-     live key keeps its position (FIFO, not LRU); inserting a new key at
-     capacity evicts the head. *)
-  let model = ref [] in
+  let pcids = [ 1; 2 ] in
+  let vpns = List.concat_map (fun r -> List.init 6 (fun o -> (r * 512) + o)) [ 0; 1; 2 ] in
   let r = Rng.create ~seed:0xF1F0L in
-  for step = 1 to 4000 do
-    let pcid = 1 + Rng.int r n_pcids and vpn = Rng.int r n_vpns in
-    (match Rng.int r 12 with
-    | 0 | 1 | 2 | 3 | 4 | 5 | 6 ->
-        if not (List.mem (pcid, vpn) !model) then begin
-          if List.length !model >= cap then model := List.tl !model;
-          model := !model @ [ (pcid, vpn) ]
-        end;
-        Tlb.insert t (entry ~pcid ~vpn ~pfn:vpn ())
-    | 7 | 8 ->
-        model := List.filter (fun k -> k <> (pcid, vpn)) !model;
-        Tlb.drop t ~pcid ~vpn
-    | 9 | 10 ->
-        model := List.filter (fun (p, _) -> p <> pcid) !model;
-        Tlb.flush_pcid t ~pcid
-    | _ ->
-        model := [];
-        Tlb.flush_all t);
-    if Tlb.occupancy t <> List.length !model then
-      Alcotest.failf "step %d: occupancy %d, model %d" step (Tlb.occupancy t)
-        (List.length !model);
-    for p = 1 to n_pcids do
-      for v = 0 to n_vpns - 1 do
-        let expect = List.mem (p, v) !model in
-        if Tlb.mem t ~pcid:p ~vpn:v <> expect then
-          Alcotest.failf "step %d: (%d,%d) %s" step p v
-            (if expect then "missing" else "present")
-      done
+  List.iter
+    (fun cap ->
+      let t = Tlb.create ~capacity:cap () in
+      let m = { cap; locals = []; globals = [] } in
+      for step = 1 to 3000 do
+        let pcid = 1 + Rng.int r 2 and region = Rng.int r 3 in
+        let vpn = (region * 512) + Rng.int r 6 in
+        (match Rng.int r 24 with
+        | 14 | 15 ->
+            Tlb.drop t ~pcid ~vpn;
+            model_drop m ~pcid ~vpn ~globals:false
+        | 16 | 17 ->
+            Tlb.invlpg t ~current_pcid:pcid ~vpn;
+            model_drop m ~pcid ~vpn ~globals:true
+        | 18 | 19 ->
+            Tlb.invpcid_addr t ~pcid ~vpn;
+            model_drop m ~pcid ~vpn ~globals:false
+        | 20 | 21 as op ->
+            if op = 20 then Tlb.flush_pcid t ~pcid else Tlb.cr3_flush t ~pcid;
+            m.locals <- List.filter (fun e -> e.Tlb.pcid <> pcid) m.locals
+        | 22 ->
+            Tlb.flush_all t;
+            m.locals <- [];
+            m.globals <- []
+        | _ ->
+            let huge = Rng.int r 6 = 0 and global = Rng.int r 6 = 0 in
+            let e =
+              entry ~pcid ~global
+                ~size:(if huge then Tlb.Two_m else Tlb.Four_k)
+                ~writable:(Rng.int r 2 = 0)
+                ~vpn:(if huge then region * 512 else vpn)
+                ~pfn:(Rng.int r 100_000) ()
+            in
+            Tlb.insert t e;
+            model_insert m e);
+        check_against_model ~step t m ~pcids ~vpns
+      done)
+    [ 1; 2; 3; 4; 8 ]
+
+(* 6000 distinct keys through a 2048-entry TLB, with a third of them
+   dropped again in random order: the index grows from its initial 16
+   slots to 8192 and thousands of backward-shift deletes run over it,
+   clusters wrapping past the table's end included. Keys are distinct and
+   never re-inserted, so FIFO order is insertion order over live keys. *)
+let test_tlb_many_keys_vs_model () =
+  let cap = 2048 and n = 6000 in
+  let t = Tlb.create ~capacity:cap () in
+  let r = Rng.create ~seed:0x5EEDL in
+  let pcid = Array.init n (fun _ -> Rng.int r 4096) in
+  let live = Array.make n false in
+  let oldest = ref 0 and n_live = ref 0 and evictions = ref 0 in
+  let check_all step =
+    if Tlb.occupancy t <> !n_live then
+      Alcotest.failf "step %d: occupancy %d, model %d" step (Tlb.occupancy t) !n_live;
+    for k = 0 to n - 1 do
+      let row = Tlb.lookup t ~pcid:pcid.(k) ~vpn:k in
+      if (row >= 0) <> live.(k) then
+        Alcotest.failf "step %d: key %d %s" step k
+          (if live.(k) then "missing" else "present");
+      if row >= 0 && Tlb.pfn t row <> k + 7 then Alcotest.failf "step %d: key %d pfn" step k
     done
+  in
+  for k = 0 to n - 1 do
+    if !n_live >= cap then begin
+      while not live.(!oldest) do incr oldest done;
+      live.(!oldest) <- false;
+      decr n_live;
+      incr evictions
+    end;
+    Tlb.insert t (entry ~pcid:pcid.(k) ~vpn:k ~pfn:(k + 7) ());
+    live.(k) <- true;
+    incr n_live;
+    if k mod 3 = 2 then begin
+      let victim = Rng.int r (k + 1) in
+      Tlb.drop t ~pcid:pcid.(victim) ~vpn:victim;
+      if live.(victim) then begin
+        live.(victim) <- false;
+        decr n_live
+      end
+    end;
+    if k mod 1000 = 999 then check_all k
   done;
-  check bool_t "model agreed for 4000 steps" true true
+  check_all n;
+  check int_t "evictions" !evictions (Tlb.stats t).Tlb.evictions
+
+(* Every entry point rejects a pcid outside 12 bits: packed into the key
+   unchecked, pcid 4097 would alias (pcid 1, vpn + 1). *)
+let test_tlb_pcid_range () =
+  let t = Tlb.create () in
+  Tlb.insert t (entry ~pcid:1 ~vpn:101 ~pfn:5 ());
+  let rejects name f =
+    List.iter
+      (fun pcid ->
+        match f pcid with
+        | () -> Alcotest.failf "%s accepted pcid %d" name pcid
+        | exception Invalid_argument _ -> ())
+      [ -1; 4096; 4097 ]
+  in
+  rejects "lookup" (fun pcid -> ignore (Tlb.lookup t ~pcid ~vpn:100 : int));
+  rejects "mem" (fun pcid -> ignore (Tlb.mem t ~pcid ~vpn:100 : bool));
+  rejects "insert" (fun pcid -> Tlb.insert t (entry ~pcid ~vpn:100 ~pfn:5 ()));
+  rejects "invlpg" (fun pcid -> Tlb.invlpg t ~current_pcid:pcid ~vpn:100);
+  rejects "invpcid_addr" (fun pcid -> Tlb.invpcid_addr t ~pcid ~vpn:100);
+  rejects "drop" (fun pcid -> Tlb.drop t ~pcid ~vpn:100);
+  rejects "flush_pcid" (fun pcid -> Tlb.flush_pcid t ~pcid);
+  rejects "cr3_flush" (fun pcid -> Tlb.cr3_flush t ~pcid);
+  check bool_t "entry untouched" true (Tlb.mem t ~pcid:1 ~vpn:101);
+  check int_t "no lookups counted" 0 (let s = Tlb.stats t in s.Tlb.hits + s.Tlb.misses);
+  check int_t "pcid 4095 accepted" (-1) (Tlb.lookup t ~pcid:4095 ~vpn:100)
+
+(* The fast path allocates nothing: lookups, hit or miss, and inserts that
+   evict at capacity (the caller's records are built before measuring). *)
+let test_tlb_no_allocation () =
+  let cap = 64 and n = 10_000 in
+  let t = Tlb.create ~capacity:cap () in
+  let ring = Array.init (4 * cap) (fun i -> entry ~vpn:i ~pfn:i ()) in
+  Array.iter (Tlb.insert t) ring;
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = words ignore in
+  let per_op f = (words f -. baseline) /. float_of_int n in
+  (* The last [cap] ring entries are resident, the first [cap] are not. *)
+  let hits =
+    per_op (fun () ->
+        for i = 1 to n do
+          ignore (Tlb.lookup t ~pcid:1 ~vpn:((4 * cap) - 1 - (i land 63)) : int)
+        done)
+  in
+  let misses =
+    per_op (fun () ->
+        for i = 1 to n do
+          ignore (Tlb.lookup t ~pcid:1 ~vpn:(i land 63) : int)
+        done)
+  in
+  let inserts =
+    per_op (fun () ->
+        for i = 1 to n do
+          Tlb.insert t ring.(i land ((4 * cap) - 1))
+        done)
+  in
+  check bool_t "hits are hits" true ((Tlb.stats t).Tlb.hits >= n);
+  check bool_t "inserts evicted" true ((Tlb.stats t).Tlb.evictions >= n);
+  check (Alcotest.float 0.) "words per hit" 0. hits;
+  check (Alcotest.float 0.) "words per miss" 0. misses;
+  check (Alcotest.float 0.) "words per insert" 0. inserts
 
 (* --- Cpu + Apic --- *)
 
@@ -492,6 +687,9 @@ let suite =
       test_tlb_reinsert_after_invalidate_is_youngest;
     Alcotest.test_case "tlb: random ops vs FIFO model" `Quick
       test_tlb_random_vs_fifo_model;
+    Alcotest.test_case "tlb: 6000 keys vs FIFO model" `Quick test_tlb_many_keys_vs_model;
+    Alcotest.test_case "tlb: out-of-range pcid rejected" `Quick test_tlb_pcid_range;
+    Alcotest.test_case "tlb: lookup and insert allocate nothing" `Quick test_tlb_no_allocation;
     Alcotest.test_case "cpu: compute accounting" `Quick test_cpu_compute_accounting;
     Alcotest.test_case "cpu+apic: delivery and interruption" `Quick test_ipi_delivery_and_interruption;
     Alcotest.test_case "cpu: masking defers irqs" `Quick test_irq_masking_defers;

@@ -145,15 +145,20 @@ let tlb_op_gen =
         return Flush_all;
       ])
 
-(* A reference model: a set of (pcid, vpn). INVLPG in our model flushes the
-   addressed vpn in the current pcid and global entries; we only insert
-   non-global 4K entries here, so the model is a plain set. *)
+(* A reference model: the live (pcid, vpn) keys, oldest first. INVLPG in
+   our model flushes the addressed vpn in the current pcid and global
+   entries; we only insert non-global 4K entries here. The capacity is
+   small enough that inserts evict, so the model is FIFO: a new key at
+   capacity pushes out the oldest, an overwrite keeps its place. *)
+let tlb_model_capacity = 8
+
 let prop_tlb_matches_model =
   QCheck.Test.make ~count ~name:"tlb agrees with a set model"
     (QCheck.make QCheck.Gen.(list_size (0 -- 200) tlb_op_gen))
     (fun ops ->
-      let t = Tlb.create ~capacity:4096 () in
-      let model = Hashtbl.create 64 in
+      let t = Tlb.create ~capacity:tlb_model_capacity () in
+      let model = ref [] in
+      let remove k = model := List.filter (fun k' -> k' <> k) !model in
       List.iter
         (fun op ->
           match op with
@@ -169,30 +174,32 @@ let prop_tlb_matches_model =
                   fractured = false;
               ck_ver = -1;
                 };
-              Hashtbl.replace model (pcid, vpn) ()
+              if not (List.mem (pcid, vpn) !model) then begin
+                if List.length !model >= tlb_model_capacity then model := List.tl !model;
+                model := !model @ [ (pcid, vpn) ]
+              end
           | Invlpg (vpn, pcid) ->
               Tlb.invlpg t ~current_pcid:pcid ~vpn;
-              Hashtbl.remove model (pcid, vpn)
+              remove (pcid, vpn)
           | Invpcid (vpn, pcid) ->
               Tlb.invpcid_addr t ~pcid ~vpn;
-              Hashtbl.remove model (pcid, vpn)
+              remove (pcid, vpn)
           | Flush_pcid pcid ->
               Tlb.flush_pcid t ~pcid;
-              Hashtbl.iter (fun (p, v) () -> if p = pcid then Hashtbl.remove model (p, v))
-                (Hashtbl.copy model)
+              model := List.filter (fun (p, _) -> p <> pcid) !model
           | Flush_all ->
               Tlb.flush_all t;
-              Hashtbl.reset model)
+              model := [])
         ops;
-      (* The TLB may hold FEWER entries than the model (capacity), but
-         never an entry the model flushed. *)
-      let ok = ref true in
+      (* Exactly the model's keys are resident, in the model's order. *)
+      let ok = ref (Tlb.occupancy t = List.length !model) in
       for pcid = 1 to 2 do
         for vpn = 0 to 64 do
-          if Tlb.mem t ~pcid ~vpn && not (Hashtbl.mem model (pcid, vpn)) then ok := false
+          if Tlb.mem t ~pcid ~vpn <> List.mem (pcid, vpn) !model then ok := false
         done
       done;
-      !ok)
+      !ok
+      && List.map (fun (e : Tlb.entry) -> (e.Tlb.pcid, e.Tlb.vpn)) (Tlb.entries t) = !model)
 
 (* --- Flush_info: merge covers both inputs --- *)
 

@@ -29,10 +29,13 @@
    `perf` respects `-j` too: engine ops are per-engine counters carried in
    each cell's result and summed at reduce time, so attribution is exact
    under any schedule; per-experiment wall_s sums the experiment's own
-   cell walls (CPU-seconds when parallel). Experiments that drive no
-   engine (table2, table4, paravirt) or own no cells in this invocation
-   (table3 reusing the figures' matrices) report engine_ops null — an
-   explicit n/a, never a misleading 0. *)
+   cell walls (CPU-seconds when parallel), and own_runs/reused count the
+   cells it ran and the cells it read from an earlier experiment.
+   Experiments that drive no engine (table2, table4, paravirt) or own no
+   cells in this invocation (table3 reusing the figures' matrices) report
+   engine_ops null — an explicit n/a, never a misleading 0. Every task
+   builder returns its plan and a thunk of its BENCH_PERF.json rows
+   (bench/perf_row.ml), read from the same cell getters as its reduce. *)
 
 let quick = ref false
 let verbose = ref false
@@ -635,7 +638,13 @@ let ablation_freebsd_plan () =
   in
   { Shard.name = "ablation-E"; jobs = List.rev !jobs; reused = !reused; reduce }
 
+(* A task is a name and a builder returning the plan and its extra
+   BENCH_PERF.json rows; most plans add none beyond their experiment row. *)
+let plain tasks =
+  List.map (fun (name, build) -> (name, fun () -> (build (), fun () -> []))) tasks
+
 let ablation_tasks =
+  plain
   [
     ("ablation-A", ablation_single_opt_plan);
     ("ablation-B", ablation_ipi_latency_plan);
@@ -646,12 +655,6 @@ let ablation_tasks =
   ]
 
 (* ----- Big-machine scaling (DESIGN.md §12) ----- *)
-
-(* The reduce phase stashes each size's result here so perf mode can emit
-   the schema-5 "bigmachine" rows without re-running the cells; harmless
-   in table-only modes. Keyed rows use ["scale":], never ["name":], so
-   perf_gate's experiment-row scanner does not pick them up. *)
-let bigmachine_results : (int * Bigmachine.result) list ref = ref []
 
 let bigmachine_plan () =
   let cells =
@@ -680,9 +683,8 @@ let bigmachine_plan () =
   in
   let jobs = List.concat_map (fun (_, js, _, _) -> js) cells in
   let reused = List.length (List.filter (fun (_, _, _, fresh) -> not fresh) cells) in
+  let results () = List.map (fun (n, _, get, _) -> (n, get ())) cells in
   let reduce () =
-    let results = List.map (fun (n, _, get, _) -> (n, get ())) cells in
-    bigmachine_results := results;
     Report.table
       ~title:
         "Big-machine scaling — identical multi-tenant churn, growing machine \
@@ -699,24 +701,33 @@ let bigmachine_plan () =
              string_of_int r.Bigmachine.icr_writes;
              Printf.sprintf "%.0f" r.Bigmachine.cycles_per_shootdown;
            ])
-         results)
+         (results ()))
   in
-  { Shard.name = "bigmachine"; jobs; reused; reduce }
+  let rows () =
+    List.map
+      (fun (n, r) ->
+        Perf_row.(
+          row "bigmachine" (Printf.sprintf "bigmachine-%d" n)
+            [
+              int "n_cpus" n;
+              int "threads" r.Bigmachine.threads;
+              int "ops" r.Bigmachine.ops;
+              int "shootdowns" r.Bigmachine.shootdowns;
+              int "ipis" r.Bigmachine.ipis;
+              int "icr_writes" r.Bigmachine.icr_writes;
+              int "churns" r.Bigmachine.churns;
+              float "cycles_per_shootdown" r.Bigmachine.cycles_per_shootdown;
+              int "engine_ops" r.Bigmachine.engine_ops;
+            ]))
+      (results ())
+  in
+  ({ Shard.name = "bigmachine"; jobs; reused; reduce }, rows)
 
 (* ----- Shootout: protocol-backend comparison (DESIGN.md §13) ----- *)
-
-(* Like [bigmachine_results]: the reduce phase stashes the rows so perf
-   mode can emit the schema-6 "shootout" block without re-running the
-   cells. Those rows are keyed ["protocol":], never ["name":] or
-   ["scale":], so neither of perf_gate's other scanners picks them up and
-   pre-schema-6 gates skip them entirely. *)
-let shootout_results : Shootout.row list ref = ref []
 
 let shootout_plan () =
   let jobs, get_rows = Shootout.plan_cells ~iterations:(micro_iters ()) () in
   let reduce () =
-    let rows = get_rows () in
-    shootout_results := rows;
     let cell = function None -> "-" | Some v -> Printf.sprintf "%.0f" v in
     Report.table
       ~title:
@@ -739,18 +750,30 @@ let shootout_plan () =
              cell r.Shootout.sh_ack_p50;
              string_of_int r.Shootout.sh_line_transfers;
            ])
-         rows)
+         (get_rows ()))
   in
-  { Shard.name = "shootout"; jobs; reused = 0; reduce }
+  let rows () =
+    List.map
+      (fun r ->
+        Perf_row.(
+          row "shootout" r.Shootout.sh_label
+            [
+              float "initiator_mean" r.Shootout.sh_initiator_mean;
+              float "initiator_sd" r.Shootout.sh_initiator_sd;
+              float "responder_mean" r.Shootout.sh_responder_mean;
+              int "shootdowns" r.Shootout.sh_shootdowns;
+              ("prep_p50", r.Shootout.sh_prep_p50);
+              ("ipi_p50", r.Shootout.sh_ipi_p50);
+              ("flush_p50", r.Shootout.sh_flush_p50);
+              ("ack_p50", r.Shootout.sh_ack_p50);
+              int "line_transfers" r.Shootout.sh_line_transfers;
+              float "line_cycles" r.Shootout.sh_line_cycles;
+            ]))
+      (get_rows ())
+  in
+  ({ Shard.name = "shootout"; jobs; reused = 0; reduce }, rows)
 
 (* ----- Shootout workloads: fig10/fig11/bigmachine-56 per backend ----- *)
-
-(* Stashed by the reduce for the schema-7 "workloads" JSON block, like
-   [bigmachine_results]/[shootout_results]. Rows are keyed ["experiment":]
-   with the backend under ["proto":] — none of the keys older gate
-   scanners walk ("name"/"scale"/"phase"/"protocol"), so a pre-schema-7
-   gate can neither misread nor silently half-parse them. *)
-let workloads_results : Shootout.wl_report option ref = ref None
 
 (* Planned LAST (see [all_tasks]): the paper backend's cells are
    value-identical to fig10/fig11's "+batching" stack and the bigmachine
@@ -765,7 +788,6 @@ let shootout_workloads_plan () =
   in
   let reduce () =
     let report = get () in
-    workloads_results := Some report;
     let backend_cols = List.map (fun (l, _) -> l) (Shootout.workload_backends ()) in
     let tput_table ~title ~axis ~fmt rows =
       match rows with
@@ -806,7 +828,19 @@ let shootout_workloads_plan () =
            ])
          report.Shootout.wl_big)
   in
-  { Shard.name = "shootout-workloads"; jobs; reused; reduce }
+  let rows () =
+    List.map
+      (fun r ->
+        Perf_row.row "workloads"
+          (r.Shootout.wl_experiment ^ "/" ^ Opts.protocol_label r.Shootout.wl_protocol)
+          [
+            ("throughput", r.Shootout.wl_throughput);
+            ("cycles_per_shootdown", r.Shootout.wl_cycles_per_shootdown);
+            Perf_row.int "shootdowns" r.Shootout.wl_shootdowns;
+          ])
+      (get ()).Shootout.wl_rows
+  in
+  ({ Shard.name = "shootout-workloads"; jobs; reused; reduce }, rows)
 
 (* ----- Bechamel: wall-clock self-measurement of the harness ----- *)
 
@@ -869,6 +903,7 @@ let bechamel () =
 (* ----- driver: named experiments, sharded over the domain pool ----- *)
 
 let fig_tasks =
+  plain
   [
     ("fig5", micro_figure_plan ~fig:5 ~safe:true ~pte_count:1);
     ("fig6", micro_figure_plan ~fig:6 ~safe:true ~pte_count:10);
@@ -878,7 +913,8 @@ let fig_tasks =
 
 let all_tasks =
   fig_tasks
-  @ [
+  @ plain
+  [
       ("table3", table3_plan);
       ("fig9", fig9_plan);
       ("fig10", fig10_plan);
@@ -899,11 +935,12 @@ let all_tasks =
    shared cells to their first requester), execute all cells on one shared
    pool, reduce in order. *)
 let execute ~jobs tasks =
-  let plans = List.map (fun (_, build) -> build ()) tasks in
-  Shard.execute ~progress:!verbose ~jobs plans
+  let built = List.map (fun (_, build) -> build ()) tasks in
+  let outcomes, gc = Shard.execute ~progress:!verbose ~jobs (List.map fst built) in
+  (outcomes, gc, fun () -> List.concat_map (fun (_, rows) -> rows ()) built)
 
 let run_tasks ~jobs tasks =
-  let outcomes, _gc = execute ~jobs tasks in
+  let outcomes, _gc, _rows = execute ~jobs tasks in
   List.iter
     (fun o ->
       let m = o.Shard.out_measure in
@@ -914,23 +951,9 @@ let run_tasks ~jobs tasks =
 
 (* ----- perf: wall-clock harness, BENCH_PERF.json ----- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Schema-3 phases block: per-phase shootdown latency percentiles from a
-   small metered Observe sweep, run after the (unmetered) experiments so
-   their timing rows are untouched and the committed baseline stays valid.
-   Rows are keyed ["phase":] — never ["name":] — because perf_gate's row
-   scanner treats every ["name":] occurrence as an experiment row. *)
+(* Per-phase shootdown latency percentiles from a small metered Observe
+   sweep, run after the (unmetered) experiments so their timing rows are
+   untouched. *)
 let phases_rows ~jobs =
   let metrics = Observe.collect ~iterations:(if !quick then 50 else 200) ~jobs () in
   List.filter_map
@@ -943,165 +966,106 @@ let phases_rows ~jobs =
           |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v)
           |> String.concat ","
         in
-        let id =
+        let key =
           if String.equal labels "" then Metrics.series_name s
           else Printf.sprintf "%s{%s}" (Metrics.series_name s) labels
         in
         let pct p = Option.value (Stats.percentile_opt st p) ~default:0.0 in
-        Some (id, Stats.count st, pct 50.0, pct 99.0))
+        Some
+          Perf_row.(
+            row "phases" key
+              [ int "count" (Stats.count st); float "p50" (pct 50.0); float "p99" (pct 99.0) ]))
     (Metrics.all metrics)
 
 let perf ~jobs () =
   let t0 = Unix.gettimeofday () in
-  let outcomes, pool_gc = execute ~jobs all_tasks in
+  let outcomes, pool_gc, task_rows = execute ~jobs all_tasks in
   let elapsed = Unix.gettimeofday () -. t0 in
-  let measures =
-    List.map
-      (fun o -> (o.Shard.out_name, o.Shard.out_measure, o.Shard.out_reused))
-      outcomes
-  in
+  let rate ops wall = if wall > 0.0 then Some (float_of_int ops /. wall) else None in
   List.iter
-    (fun (name, m, reused) ->
-      let ops_s =
+    (fun o ->
+      let m = o.Shard.out_measure in
+      let ops_s, rate_s =
         match m.Shard.engine_ops with
-        | None -> "n/a"
-        | Some ops -> Report.count ops
+        | None -> ("n/a", "n/a")
+        | Some ops ->
+            ( Report.count ops,
+              Report.cycles (float_of_int ops /. Float.max 1e-9 m.Shard.wall_s) )
       in
-      let rate =
-        match m.Shard.engine_ops with
-        | None -> "n/a"
-        | Some ops -> Report.cycles (float_of_int ops /. Float.max 1e-9 m.Shard.wall_s)
-      in
-      Printf.printf "  %-12s %7.2fs  %11s engine-ops  %8s ops/s  %4d run(s)%s\n%!" name
-        m.Shard.wall_s ops_s rate m.Shard.runs
-        (if reused > 0 then Printf.sprintf "  [%d memoized]" reused else ""))
-    measures;
+      Printf.printf "  %-12s %7.2fs  %11s engine-ops  %8s ops/s  %4d run(s)%s\n%!"
+        o.Shard.out_name m.Shard.wall_s ops_s rate_s m.Shard.runs
+        (if o.Shard.out_reused > 0 then Printf.sprintf "  [%d reused]" o.Shard.out_reused
+         else ""))
+    outcomes;
+  let experiment o =
+    let m = o.Shard.out_measure in
+    let ops = m.Shard.engine_ops in
+    (* Allocation per engine op is deterministic (unlike wall-clock), so
+       the gate compares it across machines without normalization. *)
+    let per_op n = if n > 0 then Some (m.Shard.minor_words /. float_of_int n) else None in
+    Perf_row.(
+      row "experiments" o.Shard.out_name
+        [
+          float "wall_s" m.Shard.wall_s;
+          float "max_run_wall_s" m.Shard.max_wall_s;
+          int "own_runs" m.Shard.runs;
+          int "reused" o.Shard.out_reused;
+          ("engine_ops", Option.map float_of_int ops);
+          ("engine_ops_per_s", Option.bind ops (fun n -> rate n m.Shard.wall_s));
+          float "minor_words" m.Shard.minor_words;
+          float "major_words" m.Shard.major_words;
+          float "promoted_words" m.Shard.promoted_words;
+          ("minor_words_per_engine_op", Option.bind ops per_op);
+        ])
+  in
   let total_wall =
-    List.fold_left (fun acc (_, m, _) -> acc +. m.Shard.wall_s) 0.0 measures
+    List.fold_left (fun acc o -> acc +. o.Shard.out_measure.Shard.wall_s) 0.0 outcomes
   in
   let total_ops =
     List.fold_left
-      (fun acc (_, m, _) -> acc + Option.value m.Shard.engine_ops ~default:0)
-      0 measures
+      (fun acc o -> acc + Option.value o.Shard.out_measure.Shard.engine_ops ~default:0)
+      0 outcomes
   in
   (* Process-lifetime GC totals: after the pool's domains are joined their
      counters have folded into this domain's, so a plain quick_stat here
      sums every domain — the cross-domain aggregate perf mode reports. *)
   let gc = Gc.quick_stat () in
-  let oc = open_out "BENCH_PERF.json" in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": 7,\n";
-  out "  \"mode\": \"%s\",\n" (if !quick then "quick" else "full");
-  out "  \"jobs\": %d,\n" jobs;
-  out "  \"experiments\": [\n";
-  let n_rows = List.length measures in
-  List.iteri
-    (fun i (name, m, reused) ->
-      let ops_json =
-        match m.Shard.engine_ops with None -> "null" | Some ops -> string_of_int ops
-      in
-      let rate_json =
-        match m.Shard.engine_ops with
-        | None -> "null"
-        | Some ops ->
-            Printf.sprintf "%.0f" (float_of_int ops /. Float.max 1e-9 m.Shard.wall_s)
-      in
-      (* Allocation per engine op is deterministic (unlike wall-clock), so
-         the gate can compare it across machines without normalization. *)
-      let words_per_op_json =
-        match m.Shard.engine_ops with
-        | Some ops when ops > 0 ->
-            Printf.sprintf "%.4f" (m.Shard.minor_words /. float_of_int ops)
-        | Some _ | None -> "null"
-      in
-      out
-        "    {\"name\": \"%s\", \"wall_s\": %.4f, \"max_run_wall_s\": %.4f, \"runs\": \
-         %d, \"engine_ops\": %s, \"engine_ops_per_s\": %s, \"minor_words\": %.0f, \
-         \"major_words\": %.0f, \"promoted_words\": %.0f, \
-         \"minor_words_per_engine_op\": %s, \"memoized\": %b}%s\n"
-        (json_escape name) m.Shard.wall_s m.Shard.max_wall_s m.Shard.runs ops_json
-        rate_json m.Shard.minor_words m.Shard.major_words m.Shard.promoted_words
-        words_per_op_json (reused > 0)
-        (if i = n_rows - 1 then "" else ","))
-    measures;
-  out "  ],\n";
   let phases = phases_rows ~jobs in
-  out "  \"phases\": [\n";
-  let n_phases = List.length phases in
-  List.iteri
-    (fun i (id, count, p50, p99) ->
-      out "    {\"phase\": \"%s\", \"count\": %d, \"p50\": %.1f, \"p99\": %.1f}%s\n"
-        (json_escape id) count p50 p99
-        (if i = n_phases - 1 then "" else ","))
-    phases;
-  out "  ],\n";
-  (* Schema-5 scaling rows, filled by the bigmachine plan's reduce during
-     [execute] above. Keyed ["scale":] — never ["name":] — because
-     perf_gate's experiment scanner treats every ["name":] as an
-     experiment row. cycles_per_shootdown is simulated time: identical
-     across hosts and [-j], so the gate compares it raw. *)
-  out "  \"bigmachine\": [\n";
-  let n_bm = List.length !bigmachine_results in
-  List.iteri
-    (fun i (n_cpus, r) ->
-      out
-        "    {\"scale\": \"bigmachine-%d\", \"n_cpus\": %d, \"threads\": %d, \
-         \"ops\": %d, \"shootdowns\": %d, \"ipis\": %d, \"icr_writes\": %d, \
-         \"churns\": %d, \"cycles_per_shootdown\": %.2f, \"engine_ops\": %d}%s\n"
-        n_cpus n_cpus r.Bigmachine.threads r.Bigmachine.ops r.Bigmachine.shootdowns
-        r.Bigmachine.ipis r.Bigmachine.icr_writes r.Bigmachine.churns
-        r.Bigmachine.cycles_per_shootdown r.Bigmachine.engine_ops
-        (if i = n_bm - 1 then "" else ","))
-    !bigmachine_results;
-  out "  ],\n";
-  (* Schema-6 protocol-backend rows, filled by the shootout plan's reduce
-     during [execute] above. Keyed ["protocol":], so pre-schema-6 gates
-     (which scan ["name":] and ["scale":]) walk past them. Simulated-time
-     values: identical across hosts and [-j], compared raw by the gate. *)
-  out "  \"shootout\": [\n";
-  let n_sh = List.length !shootout_results in
-  List.iteri
-    (fun i r ->
-      out "    %s%s\n" (Shootout.json_of_row r) (if i = n_sh - 1 then "" else ","))
-    !shootout_results;
-  out "  ],\n";
-  (* Schema-7 cross-backend workload rows, filled by the shootout-workloads
-     plan's reduce during [execute] above. Keyed ["experiment":] with the
-     backend under ["proto":] — none of the keys the older scanners walk —
-     and carrying ["memoized":] so tests can pin that paper rows reuse the
-     figure cells. Simulated-time values, compared raw by the gate. *)
-  let wl_rows =
-    match !workloads_results with None -> [] | Some r -> r.Shootout.wl_rows
-  in
-  out "  \"workloads\": [\n";
-  let n_wl = List.length wl_rows in
-  List.iteri
-    (fun i r ->
-      out "    %s%s\n" (Shootout.json_of_wl_row r) (if i = n_wl - 1 then "" else ","))
-    wl_rows;
-  out "  ],\n";
-  out
-    "  \"total\": {\"wall_s\": %.4f, \"elapsed_s\": %.4f, \"engine_ops\": %d, \
-     \"engine_ops_per_s\": %.0f},\n"
-    total_wall elapsed total_ops
-    (float_of_int total_ops /. Float.max 1e-9 total_wall);
-  out
-    "  \"pool_gc\": {\"minor_words\": %.0f, \"major_words\": %.0f, \"promoted_words\": \
-     %.0f, \"minor_collections\": %d, \"major_collections\": %d},\n"
-    pool_gc.Domain_pool.pool_minor_words pool_gc.Domain_pool.pool_major_words
-    pool_gc.Domain_pool.pool_promoted_words pool_gc.Domain_pool.pool_minor_collections
-    pool_gc.Domain_pool.pool_major_collections;
-  out
-    "  \"gc\": {\"minor_collections\": %d, \"major_collections\": %d, \"heap_words\": \
-     %d, \"minor_words\": %.0f, \"major_words\": %.0f}\n"
-    gc.Gc.minor_collections gc.Gc.major_collections gc.Gc.heap_words gc.Gc.minor_words
-    gc.Gc.major_words;
-  out "}\n";
-  close_out oc;
+  let pg = pool_gc in
+  Perf_row.(
+    write "BENCH_PERF.json"
+      ~mode:(if !quick then "quick" else "full")
+      (List.map experiment outcomes
+      @ phases @ task_rows ()
+      @ [
+          row "total" "run"
+            [
+              int "jobs" jobs;
+              float "wall_s" total_wall;
+              float "elapsed_s" elapsed;
+              int "engine_ops" total_ops;
+              ("engine_ops_per_s", rate total_ops total_wall);
+            ];
+          row "gc" "pool"
+            [
+              float "minor_words" pg.Domain_pool.pool_minor_words;
+              float "major_words" pg.Domain_pool.pool_major_words;
+              float "promoted_words" pg.Domain_pool.pool_promoted_words;
+              int "minor_collections" pg.Domain_pool.pool_minor_collections;
+              int "major_collections" pg.Domain_pool.pool_major_collections;
+            ];
+          row "gc" "process"
+            [
+              int "minor_collections" gc.Gc.minor_collections;
+              int "major_collections" gc.Gc.major_collections;
+              int "heap_words" gc.Gc.heap_words;
+              float "minor_words" gc.Gc.minor_words;
+              float "major_words" gc.Gc.major_words;
+            ];
+        ]));
   Printf.printf "total %.2fs cpu (%.2fs elapsed at -j %d) over %d experiments; wrote \
                  BENCH_PERF.json\n"
-    total_wall elapsed jobs (List.length measures)
+    total_wall elapsed jobs (List.length outcomes)
 
 let usage () =
   Printf.eprintf

@@ -1,542 +1,138 @@
-(* Perf regression gate over BENCH_PERF.json (schema 7).
+(* Perf regression gate over BENCH_PERF.json (bench/perf_row.ml).
 
      perf_gate.exe BASELINE.json CURRENT.json [--threshold 0.25]
 
-   Two gates per experiment:
+   One loop over the baseline's rows. A row missing from the current file
+   fails. For each gated metric of the row's family (Perf_row.gates) the
+   gate compares the current value with the baseline's and fails when it
+   moved the wrong way by more than the threshold. A metric that cannot
+   be compared — its row did too little work, or either side lacks the
+   value — prints a skip line with the reason.
 
-   - Throughput. Raw engine_ops_per_s is hardware-dependent — CI runners
-     differ run to run — so the gate compares each experiment's NORMALIZED
-     throughput: its ops/s divided by the whole run's ops/s. That ratio
-     cancels machine speed; it only moves when one experiment slows down
-     (or speeds up) relative to the rest of the bench, which is exactly
-     the signature of a hot-path regression localized to one workload. An
-     experiment fails when its normalized throughput falls more than the
-     threshold below the committed baseline's.
+   Simulated metrics (words/op, cycles, throughput, phase latencies) are
+   deterministic, so they are compared raw. Host throughput varies from
+   machine to machine, so engine_ops_per_s is compared as a share of the
+   file's own total. Finally the current file's 1024-CPU bigmachine row
+   must stay within 2x of the 56-CPU row's cycles/shootdown. *)
 
-   - Allocation. minor_words_per_engine_op is a deterministic function of
-     the simulation (same cells → same allocations → same op count), so it
-     needs no normalization at all: the gate fails an experiment whose
-     words/op rises more than the threshold above the baseline's. This is
-     the regression signature of un-pooling an event path or reintroducing
-     per-iteration closures.
+open Perf_row
 
-   Trivial experiments (engine_ops below [min_ops], or null — table2,
-   table4, paravirt drive no engine) are reported but never gated: their
-   wall times are noise-dominated. Rows marked "memoized": true executed
-   none of their own cells (every cell was owned by an earlier experiment
-   in the same run), so both their wall time and their allocation are
-   bookkeeping noise — they are skipped too, on either side: a row that is
-   memoized in one file but not the other is never compared.
+let die msg =
+  prerr_endline ("perf_gate: " ^ msg);
+  exit 2
 
-   The parser is a minimal scanner for the schema this repo's own perf
-   mode emits — not a general JSON reader, and deliberately so: it keeps
-   the gate dependency-free. Each row family keys on a field no other
-   family uses ("name" / "scale" / "protocol" / "experiment"), so every
-   scanner walks the whole file and sees only its own rows. A file whose
-   declared "schema" is newer than [supported_schema] still gates every
-   family this gate knows, but says so on stderr: rows from the newer
-   schema are invisible to these scanners, not validated. *)
+let find rows ~family ~key =
+  List.find_opt
+    (fun (r : row) -> String.equal r.family family && String.equal r.key key)
+    rows
 
-let min_ops = 100_000
-let supported_schema = 7
+let metric (r : row) m =
+  match List.assoc_opt m r.metrics with
+  | None -> Error (m ^ " missing")
+  | Some None -> Error (m ^ " null")
+  | Some (Some v) -> Ok v
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(* Position of the first ["key":] at or after [from], [None] past [until]. *)
-let find_key s ~from ?(until = max_int) key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let plen = String.length pat in
-  let slen = String.length s in
-  let until = min until slen in
-  let rec find i =
-    if i + plen > slen || i >= until then None
-    else if String.equal (String.sub s i plen) pat then Some i
-    else find (i + 1)
+(* The value [g] compares in [r], or why there is none. *)
+let gated_value g file r =
+  let unmet =
+    List.find_map
+      (fun (m, bound) ->
+        match metric r m with
+        | Error why -> Some why
+        | Ok v when v < bound -> Some (Printf.sprintf "%s %g < %g" m v bound)
+        | Ok _ -> None)
+      g.needs
   in
-  find from
-
-(* Scan [s] for ["key": value] and return the raw value text (up to [,}]).
-   Searches from [from]; a key starting at or past [until] does not count —
-   that bound is what stops a field missing from one row from silently
-   matching the next row's. Returns the value and the position after it. *)
-let raw_field s ~from ?until key =
-  let slen = String.length s in
-  match find_key s ~from ?until key with
-  | None -> None
-  | Some k0 ->
-      let v0 = k0 + String.length key + 3 in
-      let v0 = ref v0 in
-      while !v0 < slen && (s.[!v0] = ' ' || s.[!v0] = '\n') do
-        incr v0
-      done;
-      let v1 = ref !v0 in
-      (if !v1 < slen && s.[!v1] = '"' then begin
-         incr v1;
-         while !v1 < slen && s.[!v1] <> '"' do
-           incr v1
-         done;
-         incr v1
-       end
-       else
-         while
-           !v1 < slen && (match s.[!v1] with ',' | '}' | ']' | '\n' -> false | _ -> true)
-         do
-           incr v1
-         done);
-      Some (String.trim (String.sub s !v0 (!v1 - !v0)), !v1)
-
-let unquote v =
-  if String.length v >= 2 && v.[0] = '"' then String.sub v 1 (String.length v - 2) else v
-
-type row = {
-  name : string;
-  wall_s : float option;
-  engine_ops : int option;
-  words_per_op : float option;
-  memoized : bool;
-}
-
-(* Experiment rows, in file order: each starts at a ["name":] key inside the
-   "experiments" array (total/gc blocks carry no "name"). A row's fields
-   are searched only up to the next ["name":] key, so a missing field reads
-   as [None] instead of picking up the following row's value. Unparseable
-   or null values also read as [None]: such rows are reported and skipped,
-   never gated and never crash the gate. *)
-let rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "name" with
-    | None -> List.rev acc
-    | Some (name, p1) ->
-        let bound =
-          match find_key s ~from:p1 "name" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            name = unquote name;
-            wall_s = Option.bind (field "wall_s") float_of_string_opt;
-            engine_ops = Option.bind (field "engine_ops") int_of_string_opt;
-            words_per_op =
-              Option.bind (field "minor_words_per_engine_op") float_of_string_opt;
-            (* Absent in pre-schema-4 baselines: reads as false, so old
-               baselines gate every row exactly as they used to. *)
-            memoized = field "memoized" = Some "true";
-          }
-        in
-        if Option.is_none row.wall_s then
-          Printf.eprintf "perf_gate: row %s in %s has no usable wall_s\n" row.name
-            path;
-        collect bound (row :: acc)
-  in
-  collect 0 []
-
-type scale_row = {
-  scale : string;
-  s_cpus : int option;
-  cycles_per_shootdown : float option;
-  shootdowns : int option;
-}
-
-(* Schema-5 "bigmachine" scaling rows, keyed ["scale":] (experiment rows
-   are keyed ["name":], so neither scanner sees the other's rows). A
-   pre-schema-5 file simply yields the empty list and the scaling gates
-   are skipped. *)
-let scale_rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "scale" with
-    | None -> List.rev acc
-    | Some (scale, p1) ->
-        let bound =
-          match find_key s ~from:p1 "scale" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            scale = unquote scale;
-            s_cpus = Option.bind (field "n_cpus") int_of_string_opt;
-            cycles_per_shootdown =
-              Option.bind (field "cycles_per_shootdown") float_of_string_opt;
-            shootdowns = Option.bind (field "shootdowns") int_of_string_opt;
-          }
-        in
-        collect bound (row :: acc)
-  in
-  collect 0 []
-
-type proto_row = {
-  backend : string;
-  p_initiator_mean : float option;
-  p_shootdowns : int option;
-}
-
-(* Schema-6 "shootout" protocol-backend rows, keyed ["protocol":] (the
-   other scanners key on ["name":] and ["scale":], so none sees another's
-   rows). Row identity is the "backend" field — two rows share the
-   "paper" protocol label. A pre-schema-6 file yields the empty list and
-   the backend gates are skipped. *)
-let proto_rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "protocol" with
-    | None -> List.rev acc
-    | Some (_, p1) ->
-        let bound =
-          match find_key s ~from:p1 "protocol" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            backend = Option.value (Option.map unquote (field "backend")) ~default:"?";
-            p_initiator_mean = Option.bind (field "initiator_mean") float_of_string_opt;
-            p_shootdowns = Option.bind (field "shootdowns") int_of_string_opt;
-          }
-        in
-        collect bound (row :: acc)
-  in
-  collect 0 []
-
-type wl_row = {
-  wl_experiment : string;
-  wl_proto : string;
-  wl_throughput : float option;
-  wl_cycles : float option;
-  wl_shootdowns : int option;
-  wl_memoized : bool;
-}
-
-(* Schema-7 "workloads" rows, keyed ["experiment":] with the backend under
-   ["proto":] — note "proto" is not a substring of "protocol" nor the
-   reverse, so this scanner and the shootout one cannot see each other's
-   rows. Row identity is the (experiment, proto) pair: the same
-   wl-fig10 experiment appears once per backend. A pre-schema-7 file
-   yields the empty list and the workload gates are skipped. *)
-let wl_rows_of_file path =
-  let s = read_file path in
-  let rec collect from acc =
-    match raw_field s ~from "experiment" with
-    | None -> List.rev acc
-    | Some (experiment, p1) ->
-        let bound =
-          match find_key s ~from:p1 "experiment" with
-          | Some k -> k
-          | None -> String.length s
-        in
-        let field key =
-          match raw_field s ~from:p1 ~until:bound key with
-          | Some (v, _) -> Some v
-          | None -> None
-        in
-        let row =
-          {
-            wl_experiment = unquote experiment;
-            wl_proto = Option.value (Option.map unquote (field "proto")) ~default:"?";
-            wl_throughput = Option.bind (field "throughput") float_of_string_opt;
-            wl_cycles =
-              Option.bind (field "cycles_per_shootdown") float_of_string_opt;
-            wl_shootdowns = Option.bind (field "shootdowns") int_of_string_opt;
-            wl_memoized = field "memoized" = Some "true";
-          }
-        in
-        collect bound (row :: acc)
-  in
-  collect 0 []
-
-(* A workload row is gateable only when it performed shootdowns and
-   executed its own cells: a memoized row's numbers were measured (and
-   gated) under the experiment that owns the cells. Both metrics are
-   simulated-deterministic, so like words/op they are compared raw. *)
-let wl_gateable r =
-  (not r.wl_memoized) && match r.wl_shootdowns with Some n -> n > 0 | None -> false
-
-(* The declared "schema" of the file's first (top-level) schema key.
-   Pre-schema files have none and read as 0. *)
-let schema_of_file path =
-  let s = read_file path in
-  match raw_field s ~from:0 "schema" with
-  | Some (v, _) -> Option.value (int_of_string_opt v) ~default:0
-  | None -> 0
-
-(* A backend row is gateable only when it performed shootdowns: a
-   zero-shootdown cell's latency means the bench was misconfigured. *)
-let proto_gateable r =
-  match (r.p_initiator_mean, r.p_shootdowns) with
-  | Some c, Some n -> c > 0.0 && n > 0
-  | _ -> false
-
-(* A scaling row is gateable only when it actually performed shootdowns:
-   a zero-shootdown run's cycles_per_shootdown is a placeholder 0. *)
-let scale_gateable r =
-  match (r.cycles_per_shootdown, r.shootdowns) with
-  | Some c, Some n -> c > 0.0 && n > 0
-  | _ -> false
-
-(* A row enters the aggregate (and is gateable) only with a positive wall
-   time and a non-trivial op count: [engine_ops: null] rows, zero-wall
-   runs and malformed rows all fall out here instead of poisoning the
-   normalization with infinities. *)
-let gateable r =
-  (not r.memoized)
-  &&
-  match (r.engine_ops, r.wall_s) with
-  | Some o, Some w -> o >= min_ops && w > 0.0
-  | _ -> false
-
-let total_rate rows =
-  let ops, wall =
-    List.fold_left
-      (fun (ops, wall) r ->
-        if gateable r then
-          (ops + Option.get r.engine_ops, wall +. Option.get r.wall_s)
-        else (ops, wall))
-      (0, 0.0) rows
-  in
-  float_of_int ops /. Float.max 1e-9 wall
+  match (unmet, metric r g.metric, g.kind) with
+  | Some why, _, _ | None, Error why, _ -> Error why
+  | None, Ok v, Raw -> Ok v
+  | None, Ok v, Normalized -> (
+      match find file.rows ~family:"total" ~key:"run" with
+      | Some total -> (
+          match metric total g.metric with
+          | Ok t when t > 0.0 -> Ok (v /. t)
+          | _ -> Error ("no total " ^ g.metric))
+      | None -> Error "no total/run row")
 
 let () =
   let threshold = ref 0.25 in
-  let files = ref [] in
-  let rec parse = function
-    | [] -> ()
+  let rec args acc = function
+    | [] -> List.rev acc
     | "--threshold" :: t :: rest ->
         threshold := float_of_string t;
-        parse rest
-    | f :: rest ->
-        files := f :: !files;
-        parse rest
+        args acc rest
+    | f :: rest -> args (f :: acc) rest
   in
-  parse (List.tl (Array.to_list Sys.argv));
-  let baseline_path, current_path =
-    match List.rev !files with
+  let base_path, cur_path =
+    match args [] (List.tl (Array.to_list Sys.argv)) with
     | [ b; c ] -> (b, c)
-    | _ ->
-        prerr_endline "usage: perf_gate.exe BASELINE.json CURRENT.json [--threshold 0.25]";
-        exit 2
+    | _ -> die "usage: perf_gate.exe BASELINE.json CURRENT.json [--threshold 0.25]"
   in
-  (* A newer file still passes through every known gate — its extra row
-     families simply aren't scanned — but that blind spot must be visible
-     in the CI log, not silent. *)
-  List.iter
-    (fun path ->
-      let schema = schema_of_file path in
-      if schema > supported_schema then
-        Printf.eprintf
-          "perf_gate: %s declares schema %d (gate supports %d): unknown newer \
-           schema rows present and not gated\n"
-          path schema supported_schema)
-    [ baseline_path; current_path ];
-  let baseline = rows_of_file baseline_path in
-  let current = rows_of_file current_path in
-  if List.is_empty baseline then begin
-    Printf.eprintf "perf_gate: no experiment rows in %s\n" baseline_path;
-    exit 2
-  end;
-  let base_total = total_rate baseline and cur_total = total_rate current in
+  let load path =
+    match read path with
+    | Error msg -> die msg
+    | Ok f ->
+        (* Rows of a newer schema are read, but only the families and
+           metrics this gate's table names are gated: say so. *)
+        if f.file_schema > schema then
+          Printf.eprintf
+            "perf_gate: %s declares schema %d (gate supports %d): unknown newer schema \
+             rows present and not gated\n"
+            path f.file_schema schema;
+        f
+  in
+  let base = load base_path and cur = load cur_path in
+  if List.is_empty base.rows then die ("no rows in " ^ base_path);
+  let t = !threshold in
   let failed = ref 0 in
+  let line verdict id what = Printf.printf "%s %-40s %s\n" verdict id what in
+  let check ok id what =
+    if not ok then incr failed;
+    line (if ok then "ok  " else "FAIL") id what
+  in
   List.iter
-    (fun b ->
-      match List.find_opt (fun c -> String.equal c.name b.name) current with
-      | None ->
-          Printf.printf "FAIL %-12s missing from current run\n" b.name;
-          incr failed
+    (fun (b : row) ->
+      let id = b.family ^ "/" ^ b.key in
+      match find cur.rows ~family:b.family ~key:b.key with
+      | None -> check false id "missing from current run"
       | Some c ->
-          if gateable b && gateable c then begin
-            let bo = Option.get b.engine_ops and co = Option.get c.engine_ops in
-            let bw = Option.get b.wall_s and cw = Option.get c.wall_s in
-            (* share of the run's aggregate throughput: machine-speed-free *)
-            let b_norm = float_of_int bo /. bw /. Float.max 1e-9 base_total in
-            let c_norm = float_of_int co /. cw /. Float.max 1e-9 cur_total in
-            let rel = c_norm /. Float.max 1e-9 b_norm in
-            if rel < 1.0 -. !threshold then begin
-              Printf.printf "FAIL %-12s normalized ops/s %.2fx of baseline (limit %.2fx)\n"
-                b.name rel (1.0 -. !threshold);
-              incr failed
-            end
-            else Printf.printf "ok   %-12s normalized ops/s %.2fx of baseline\n" b.name rel;
-            (* Allocation gate: deterministic, so compared raw. Only when
-               both files carry the field — a schema-2 baseline has none. *)
-            match (b.words_per_op, c.words_per_op) with
-            | Some bwo, Some cwo when bwo > 0.0 ->
-                let rel_w = cwo /. bwo in
-                if rel_w > 1.0 +. !threshold then begin
-                  Printf.printf
-                    "FAIL %-12s minor words/op %.2fx of baseline (%.2f vs %.2f, limit %.2fx)\n"
-                    b.name rel_w cwo bwo (1.0 +. !threshold);
-                  incr failed
-                end
-                else
-                  Printf.printf "ok   %-12s minor words/op %.2fx of baseline (%.2f)\n"
-                    b.name rel_w cwo
-            | _ -> ()
-          end
-          else if b.memoized || c.memoized then
-            Printf.printf "skip %-12s memoized (cells owned by an earlier experiment)\n"
-              b.name
-          else
-            Printf.printf "skip %-12s trivial, zero-wall or no engine ops (not gated)\n"
-              b.name)
-    baseline;
-  (* --- schema-5 scaling gates --- *)
-  let base_scales = scale_rows_of_file baseline_path in
-  let cur_scales = scale_rows_of_file current_path in
-  (* Regression gate: cycles_per_shootdown is simulated time, identical
-     across hosts, so it is compared raw like words/op. Only rows present
-     and gateable in both files are compared — an old baseline without
-     bigmachine rows gates nothing. *)
-  List.iter
-    (fun b ->
-      match List.find_opt (fun c -> String.equal c.scale b.scale) cur_scales with
-      | None ->
-          Printf.printf "FAIL %-16s missing from current run\n" b.scale;
-          incr failed
-      | Some c when scale_gateable b && scale_gateable c ->
-          let bc = Option.get b.cycles_per_shootdown
-          and cc = Option.get c.cycles_per_shootdown in
-          let rel = cc /. bc in
-          if rel > 1.0 +. !threshold then begin
-            Printf.printf
-              "FAIL %-16s cycles/shootdown %.2fx of baseline (%.0f vs %.0f, limit \
-               %.2fx)\n"
-              b.scale rel cc bc (1.0 +. !threshold);
-            incr failed
-          end
-          else
-            Printf.printf "ok   %-16s cycles/shootdown %.2fx of baseline (%.0f)\n"
-              b.scale rel cc
-      | Some _ -> Printf.printf "skip %-16s no shootdowns (not gated)\n" b.scale)
-    base_scales;
-  (* --- schema-6 protocol-backend gates --- *)
-  let base_protos = proto_rows_of_file baseline_path in
-  let cur_protos = proto_rows_of_file current_path in
-  (* initiator_mean is simulated time, identical across hosts, so it is
-     compared raw. Gated only when the baseline carries the row — a
-     pre-schema-6 baseline gates no backends; a row the current run
-     dropped is a failure (a backend silently fell out of the shootout). *)
-  List.iter
-    (fun b ->
-      match List.find_opt (fun c -> String.equal c.backend b.backend) cur_protos with
-      | None ->
-          Printf.printf "FAIL %-16s missing from current run\n" b.backend;
-          incr failed
-      | Some c when proto_gateable b && proto_gateable c ->
-          let bc = Option.get b.p_initiator_mean
-          and cc = Option.get c.p_initiator_mean in
-          let rel = cc /. bc in
-          if rel > 1.0 +. !threshold then begin
-            Printf.printf
-              "FAIL %-16s initiator cycles %.2fx of baseline (%.0f vs %.0f, limit \
-               %.2fx)\n"
-              b.backend rel cc bc (1.0 +. !threshold);
-            incr failed
-          end
-          else
-            Printf.printf "ok   %-16s initiator cycles %.2fx of baseline (%.0f)\n"
-              b.backend rel cc
-      | Some _ -> Printf.printf "skip %-16s no shootdowns (not gated)\n" b.backend)
-    base_protos;
-  (* --- schema-7 cross-backend workload gates --- *)
-  let base_wl = wl_rows_of_file baseline_path in
-  let cur_wl = wl_rows_of_file current_path in
-  (* Both metrics are simulated time, identical across hosts, so they are
-     compared raw. Throughput must not drop, cycles/shootdown must not
-     rise, each by more than the threshold. A row present in the baseline
-     but missing from the current run is a failure (a backend silently
-     fell out of the workload sweep); memoized rows are measured under the
-     cell-owning experiment and skipped here, on either side. *)
-  List.iter
-    (fun b ->
-      let id = Printf.sprintf "%s/%s" b.wl_experiment b.wl_proto in
-      match
-        List.find_opt
-          (fun c ->
-            String.equal c.wl_experiment b.wl_experiment
-            && String.equal c.wl_proto b.wl_proto)
-          cur_wl
-      with
-      | None ->
-          Printf.printf "FAIL %-28s missing from current run\n" id;
-          incr failed
-      | Some c when wl_gateable b && wl_gateable c -> (
-          (match (b.wl_throughput, c.wl_throughput) with
-          | Some bt, Some ct when bt > 0.0 ->
-              let rel = ct /. bt in
-              if rel < 1.0 -. !threshold then begin
-                Printf.printf
-                  "FAIL %-28s throughput %.2fx of baseline (%.4f vs %.4f, limit \
-                   %.2fx)\n"
-                  id rel ct bt (1.0 -. !threshold);
-                incr failed
-              end
-              else Printf.printf "ok   %-28s throughput %.2fx of baseline\n" id rel
-          | _ -> ());
-          match (b.wl_cycles, c.wl_cycles) with
-          | Some bc, Some cc when bc > 0.0 ->
-              let rel = cc /. bc in
-              if rel > 1.0 +. !threshold then begin
-                Printf.printf
-                  "FAIL %-28s cycles/shootdown %.2fx of baseline (%.0f vs %.0f, \
-                   limit %.2fx)\n"
-                  id rel cc bc (1.0 +. !threshold);
-                incr failed
-              end
-              else
-                Printf.printf "ok   %-28s cycles/shootdown %.2fx of baseline\n" id rel
-          | _ -> ())
-      | Some c ->
-          if b.wl_memoized || c.wl_memoized then
-            Printf.printf "skip %-28s memoized (cells owned by an earlier experiment)\n"
-              id
-          else Printf.printf "skip %-28s no shootdowns (not gated)\n" id)
-    base_wl;
-  (* In-file scaling bound: the 1024-CPU machine's per-shootdown cost must
-     stay within 2x of the 56-CPU paper machine's on the SAME run — the
-     O(active CPUs) property the cpuset layer exists to provide. Checked
-     whenever the current file carries both rows, whatever the baseline. *)
-  (match
-     ( List.find_opt (fun r -> r.s_cpus = Some 56) cur_scales,
-       List.find_opt (fun r -> r.s_cpus = Some 1024) cur_scales )
-   with
-  | Some small, Some big when scale_gateable small && scale_gateable big ->
-      let cs = Option.get small.cycles_per_shootdown
-      and cb = Option.get big.cycles_per_shootdown in
-      let rel = cb /. cs in
-      if rel > 2.0 then begin
-        Printf.printf
-          "FAIL scaling          1024-CPU cycles/shootdown %.2fx of 56-CPU (%.0f vs \
-           %.0f, limit 2.00x)\n"
-          rel cb cs;
-        incr failed
-      end
-      else
-        Printf.printf "ok   scaling          1024-CPU cycles/shootdown %.2fx of 56-CPU\n"
-          rel
+          List.iter
+            (fun g ->
+              let skip why = line "skip" id (g.metric ^ ": " ^ why) in
+              if String.equal g.family b.family then
+                match (gated_value g base b, gated_value g cur c) with
+                | Error why, _ -> skip ("baseline " ^ why)
+                | _, Error why -> skip ("current " ^ why)
+                | Ok bv, _ when bv <= 0.0 -> skip "baseline is 0"
+                | Ok bv, Ok cv ->
+                    let rel = cv /. bv in
+                    let ok, limit =
+                      match g.better with
+                      | Lower -> (rel <= 1.0 +. t, 1.0 +. t)
+                      | Higher -> (rel >= 1.0 -. t, 1.0 -. t)
+                    in
+                    check ok id
+                      (Printf.sprintf "%s %.2fx of baseline%s (%.6g vs %.6g, limit %.2fx)"
+                         g.metric rel
+                         (match g.kind with Raw -> "" | Normalized -> " normalized")
+                         cv bv limit))
+            gates)
+    base.rows;
+  (* The O(active CPUs) property of the cpuset layer, checked within the
+     current run whatever the baseline holds. *)
+  let scale = List.find (fun g -> String.equal g.family "bigmachine") gates in
+  let cycles n =
+    Option.map (gated_value scale cur)
+      (find cur.rows ~family:"bigmachine" ~key:(Printf.sprintf "bigmachine-%d" n))
+  in
+  (match (cycles 56, cycles 1024) with
+  | Some (Ok small), Some (Ok big) when small > 0.0 ->
+      let rel = big /. small in
+      check (rel <= 2.0) "scaling"
+        (Printf.sprintf "1024-CPU cycles/shootdown %.2fx of 56-CPU (limit 2.00x)" rel)
   | _ -> ());
   if !failed > 0 then begin
-    Printf.printf "%d experiment(s) regressed more than %.0f%%\n" !failed (!threshold *. 100.0);
+    Printf.printf "%d check(s) regressed more than %.0f%%\n" !failed (t *. 100.0);
     exit 1
   end;
   print_endline "perf gate passed"

@@ -10,8 +10,7 @@
    per-shootdown cost that stays flat across the column is therefore
    direct evidence that the shootdown hot paths are O(active CPUs), not
    O(machine size) — the property the cpuset/hierarchical-IPI layer
-   exists to provide, and the property bench/perf_gate.ml gates on the
-   schema-5 "bigmachine" rows. *)
+   exists to provide, and the property bench/perf_gate.ml gates on. *)
 
 type config = {
   opts : Opts.t;

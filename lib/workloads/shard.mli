@@ -33,9 +33,9 @@ type plan = {
           one plan, so perf attribution never double-counts *)
   reused : int;
       (** cells this experiment reads from a {!memo} but does not own:
-          they were registered first by an earlier plan. Perf mode marks
-          such experiments [memoized] so the gate knows their measures
-          cover only part of what they print. *)
+          they were registered first by an earlier plan. Perf mode reports
+          the count beside the plan's own runs: its measures cover only
+          the cells it ran. *)
   reduce : unit -> unit;  (** prints via {!Report}; runs after every cell *)
 }
 

@@ -129,9 +129,6 @@ let render_table rows =
 
 let json_opt = function None -> "null" | Some v -> Printf.sprintf "%.1f" v
 
-(* One JSON object per row, keyed by "protocol" — deliberately not "name",
-   so perf-gate scanners that only understand the workload-row schema walk
-   past shootout rows instead of misreading them. *)
 let json_of_row r =
   Printf.sprintf
     "{\"protocol\": \"%s\", \"backend\": \"%s\", \"initiator_mean\": %.1f, \
@@ -284,11 +281,6 @@ let workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10 ~fig11 ~q
   in
   (List.rev !jobs, get, !reused_total)
 
-(* One JSON object per (experiment, proto) summary row. Keyed
-   ["experiment":] with the backend in ["proto":] — deliberately neither
-   ["name":], ["scale":], ["phase":] nor ["protocol":], so none of the
-   pre-schema-7 perf_gate scanners can misread a workload row, and the
-   schema-7 workload scanner sees only these. *)
 let json_of_wl_row r =
   let opt fmt = function None -> "null" | Some v -> Printf.sprintf fmt v in
   Printf.sprintf

@@ -8,6 +8,10 @@
      dune exec bench/main.exe -- perf    -- wall-clock harness (BENCH_PERF.json)
      dune exec bench/main.exe -- bechamel -- harness self-measurement
 
+   Every experiment is an entry of the registry in
+   lib/workloads/experiments.ml, the one place an experiment is defined:
+   its name, its group (figs5-8, ablation) and its plan. This file parses
+   arguments, runs the selected entries, and holds perf and bechamel.
    Simulated cycle counts are printed; EXPERIMENTS.md compares them to the
    paper's numbers.
 
@@ -24,7 +28,9 @@
    embarrassingly parallel past the plan phase, so wall-clock approaches
    (sum of cell costs) / N until the slowest fig10 cell dominates.
    Per-experiment elapsed-time lines go to stderr (per-cell lines with
-   -v) so stdout stays comparable across runs and `-j` levels.
+   -v) so stdout stays comparable across runs and `-j` levels. One
+   registry context (its cell memos) spans the whole invocation, so a
+   cell shared by two named experiments runs once.
 
    `perf` respects `-j` too: engine ops are per-engine counters carried in
    each cell's result and summed at reduce time, so attribution is exact
@@ -33,818 +39,13 @@
    cells it ran and the cells it read from an earlier experiment.
    Experiments that drive no engine (table2, table4, paravirt) or own no
    cells in this invocation (table3 reusing the figures' matrices) report
-   engine_ops null — an explicit n/a, never a misleading 0. Every task
-   builder returns its plan and a thunk of its BENCH_PERF.json rows
-   (bench/perf_row.ml), read from the same cell getters as its reduce. *)
-
-let quick = ref false
-let verbose = ref false
-
-let micro_iters () = if !quick then 60 else 200
-let micro_warmup = 20
-
-(* ----- Cross-experiment cell memoization -----
-
-   One memo per workload type, keyed on the workload's [config_key]: any
-   two cells with identical (config, seed) run once, owned by the FIRST
-   requesting experiment in plan order. That subsumes the old ad-hoc
-   matrix sharing (figures 5-8 and table 3 consume the same four micro
-   matrices) and extends it to every coincidence: ablation A's baseline is
-   fig6's cross-socket baseline cell, ablation B's x1 rows are matrix
-   cells, and ablations C/E run sysbench at fig10's scale so their
-   overlapping points are fig10 cells. Planning is sequential, so
-   ownership is deterministic; reduced output is a pure function of cell
-   slots either way. *)
-
-let micro_memo : Microbench.result Shard.memo = Shard.create_memo ()
-let sysbench_memo : Sysbench.result Shard.memo = Shard.create_memo ()
-let apache_memo : Apache.result Shard.memo = Shard.create_memo ()
-let cow_memo : Cow_bench.result Shard.memo = Shard.create_memo ()
-let bigmachine_memo : Bigmachine.result Shard.memo = Shard.create_memo ()
-
-let micro_matrix_shared ~safe ~pte_count =
-  Figures.micro_matrix_cells ~memo:micro_memo ~iterations:(micro_iters ())
-    ~warmup:micro_warmup ~safe ~pte_count
-
-let print_micro_figure ~fig ~safe ~pte_count matrix =
-  let stacks = List.map fst (List.assoc Microbench.Same_core matrix) in
-  let header = "placement" :: stacks in
-  let side name pick =
-    let rows =
-      List.map
-        (fun (placement, cells) ->
-          Microbench.placement_label placement
-          :: List.map (fun (_, r) -> Report.cycles (pick r)) cells)
-        matrix
-    in
-    Report.table
-      ~title:
-        (Printf.sprintf "Figure %d%s (%s mode, %d PTE%s) — %s cycles" fig
-           (match name with "initiator" -> "a" | _ -> "b")
-           (if safe then "safe" else "unsafe")
-           pte_count
-           (if pte_count = 1 then "" else "s")
-           name)
-      ~header rows
-  in
-  side "initiator" (fun r -> r.Microbench.initiator_mean);
-  side "responder" (fun r -> r.Microbench.responder_mean);
-  (* The paper's bar-figure rendition for the farthest placement. *)
-  Report.bars
-    ~title:
-      (Printf.sprintf "Figure %da, cross-socket initiator cycles (bars)" fig)
-    (List.map
-       (fun (label, r) -> (label, r.Microbench.initiator_mean))
-       (List.assoc Microbench.Cross_socket matrix))
-
-let micro_figure_plan ~fig ~safe ~pte_count () =
-  let jobs, get, reused = micro_matrix_shared ~safe ~pte_count in
-  {
-    Shard.name = Printf.sprintf "fig%d" fig;
-    jobs;
-    reused;
-    reduce = (fun () -> print_micro_figure ~fig ~safe ~pte_count (get ()));
-  }
-
-(* ----- Table 3: latency reduction cross-socket, all four techniques ----- *)
-
-let table3_plan () =
-  let matrices =
-    List.map
-      (fun ((safe, pte_count) as key) -> (key, micro_matrix_shared ~safe ~pte_count))
-      [ (true, 1); (true, 10); (false, 1); (false, 10) ]
-  in
-  let jobs = List.concat_map (fun (_, (jobs, _, _)) -> jobs) matrices in
-  let reused = List.fold_left (fun acc (_, (_, _, r)) -> acc + r) 0 matrices in
-  let reduce () =
-    let cell ~safe ~pte_count =
-      let _, get, _ = List.assoc (safe, pte_count) matrices in
-      let cells = List.assoc Microbench.Cross_socket (get ()) in
-      let first = snd (List.hd cells) in
-      let last = snd (List.nth cells (List.length cells - 1)) in
-      let pct baseline v =
-        if Float.equal baseline 0.0 then 0.0 else (baseline -. v) /. baseline *. 100.0
-      in
-      ( pct first.Microbench.initiator_mean last.Microbench.initiator_mean,
-        pct first.Microbench.responder_mean last.Microbench.responder_mean )
-    in
-    let s1 = cell ~safe:true ~pte_count:1 in
-    let s10 = cell ~safe:true ~pte_count:10 in
-    let u1 = cell ~safe:false ~pte_count:1 in
-    let u10 = cell ~safe:false ~pte_count:10 in
-    let fmt (i, r) = Printf.sprintf "%.0f%% / %.0f%%" i r in
-    Report.table
-      ~title:
-        "Table 3 — [initiator / responder] latency reduction, cross-socket, all \
-         techniques of §3 (paper: safe 39%/13% & 58%/22%; unsafe 39%/18% & 54%/14%)"
-      ~header:[ ""; "Safe Mode"; "Unsafe Mode" ]
-      [ [ "1 PTE"; fmt s1; fmt u1 ]; [ "10 PTEs"; fmt s10; fmt u10 ] ]
-  in
-  { Shard.name = "table3"; jobs; reused; reduce }
-
-(* ----- Figure 9: CoW fault latency ----- *)
-
-let fig9_plan () =
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let run_cell ~safe ~label opts =
-    let cfg = Cow_bench.default_config ~opts in
-    let cfg =
-      if !quick then { cfg with Cow_bench.rounds = 4; pages_per_round = 32 } else cfg
-    in
-    let js, get, fresh =
-      Shard.memo_cell cow_memo ~key:(Cow_bench.config_key cfg)
-        ~label:(Printf.sprintf "fig9 %s %s" (if safe then "safe" else "unsafe") label)
-        ~ops:(fun r -> r.Cow_bench.engine_ops)
-        ~weight:(float_of_int (cfg.Cow_bench.rounds * cfg.Cow_bench.pages_per_round * 12))
-        (fun () -> Cow_bench.run cfg)
-    in
-    jobs := List.rev_append js !jobs;
-    if not fresh then incr reused;
-    fun () ->
-      let r = get () in
-      ( (if safe then "safe" else "unsafe"),
-        label,
-        r.Cow_bench.write_mean,
-        r.Cow_bench.write_sd )
-  in
-  let row_getters =
-    List.concat_map
-      (fun safe ->
-        let baseline = run_cell ~safe ~label:"baseline" (Opts.baseline ~safe) in
-        let all = run_cell ~safe ~label:"all (SS3)" (Opts.all_general ~safe) in
-        let cow_opts = Opts.all_general ~safe in
-        cow_opts.Opts.cow_avoid_flush <- true;
-        let cow = run_cell ~safe ~label:"all + CoW" cow_opts in
-        [ baseline; all; cow ])
-      [ true; false ]
-  in
-  let reduce () =
-    Report.table
-      ~title:
-        "Figure 9 — CoW write latency, cycles (paper: CoW avoidance saves ~130 \
-         cycles, 3-5%)"
-      ~header:[ "mode"; "config"; "cycles"; "sd" ]
-      (List.map
-         (fun g ->
-           let mode, label, mean, sd = g () in
-           [ mode; label; Report.cycles mean; Printf.sprintf "%.0f" sd ])
-         row_getters)
-  in
-  { Shard.name = "fig9"; jobs = List.rev !jobs; reused = !reused; reduce }
-
-(* ----- Figures 10 and 11 (lib/workloads/figures.ml builds the plans) ----- *)
-
-let fig10_plan () =
-  Figures.fig10_plan ~memo:sysbench_memo (Figures.fig10_scale ~quick:!quick)
-
-let fig11_plan () = Figures.fig11_plan ~memo:apache_memo (Figures.fig11_scale ~quick:!quick)
-
-(* ----- Table 2: lines of code ----- *)
-
-let table2_plan () =
-  (* Our implementation sizes, measured from the sources when run from the
-     repository root; the paper's patch sizes alongside. No simulation, so
-     the perf row carries engine_ops null. *)
-  let wc path =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let n = ref 0 in
-      (try
-         while true do
-           ignore (input_line ic);
-           incr n
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Some !n
-    end
-    else None
-  in
-  let ours paths =
-    match List.filter_map wc paths with
-    | [] -> "n/a (run from repo root)"
-    | counts -> string_of_int (List.fold_left ( + ) 0 counts)
-  in
-  let rows_spec =
-    [
-      ("Concurrent flushes", "103", [ "lib/core/shootdown.ml" ]);
-      ("Early ack + cacheline consolidation", "73", [ "lib/core/smp.ml" ]);
-      ("In-context page flushing", "353", [ "lib/core/percpu.ml" ]);
-      ("CoW", "35", [ "lib/core/fault.ml" ]);
-      ("Userspace-safe batching", "221", [ "lib/core/syscall.ml" ]);
-    ]
-  in
-  let job, get =
-    Shard.cell ~label:"table2 wc" ~weight:1000.0 (fun () ->
-        List.map (fun (name, paper, paths) -> [ name; paper; ours paths ]) rows_spec)
-  in
-  let reduce () =
-    Report.table
-      ~title:"Table 2 — lines of code per optimization (paper patch vs this repo)"
-      ~header:[ "Optimization"; "paper LoC"; "this repo (module LoC)" ]
-      (get ())
-  in
-  { Shard.name = "table2"; jobs = [ job ]; reused = 0; reduce }
-
-(* ----- Table 4: page fracturing ----- *)
-
-let table4_plan () =
-  let cfg =
-    if !quick then { Fracture.working_set_pages = 512; rounds = 40; tlb_capacity = 1536 }
-    else { Fracture.working_set_pages = 1024; rounds = 100; tlb_capacity = 1536 }
-  in
-  (* One cell per VM shape; no engine is driven (pure TLB modelling). *)
-  let cells =
-    List.map
-      (fun shape ->
-        Shard.cell
-          ~label:(Printf.sprintf "table4 %s" shape.Fracture.label)
-          ~weight:(float_of_int (cfg.Fracture.working_set_pages * cfg.Fracture.rounds / 2))
-          (fun () -> Fracture.run_shape cfg shape))
-      Fracture.table4_rows
-  in
-  let reduce () =
-    Report.table
-      ~title:
-        "Table 4 — dTLB misses after full vs selective flush (paper's anomaly: \
-         guest-2M-on-host-4K makes selective ~= full)"
-      ~header:[ "configuration"; "full flush"; "selective flush"; "promoted-to-full" ]
-      (List.map
-         (fun (_, get) ->
-           let r = get () in
-           [
-             r.Fracture.shape.Fracture.label;
-             Report.count r.Fracture.full_misses;
-             Report.count r.Fracture.selective_misses;
-             Report.count r.Fracture.fracture_promotions;
-           ])
-         cells)
-  in
-  { Shard.name = "table4"; jobs = List.map fst cells; reused = 0; reduce }
-
-(* ----- Ablations: design choices DESIGN.md calls out ----- *)
-
-let micro_cell_job ~label ~opts ~placement ~pte_count =
-  let cfg = Microbench.default_config ~opts ~placement ~pte_count in
-  let cfg = { cfg with Microbench.iterations = micro_iters (); warmup = micro_warmup } in
-  Shard.memo_cell micro_memo ~key:(Microbench.config_key cfg) ~label
-    ~ops:(fun r -> r.Microbench.engine_ops)
-    ~weight:(Figures.micro_weight ~iterations:cfg.Microbench.iterations ~pte_count)
-    (fun () -> Microbench.run cfg)
-
-let ablation_single_opt_plan () =
-  (* Each optimization alone (non-cumulative), cross-socket, safe, 10 PTEs:
-     isolates each technique's contribution without stacking. The baseline
-     coincides with fig6's cross-socket baseline cell, so in an `all` run
-     it is read from the memo rather than recomputed. *)
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let cell ~label opts =
-    let js, get, fresh =
-      micro_cell_job ~label:("ablation-A " ^ label) ~opts
-        ~placement:Microbench.Cross_socket ~pte_count:10
-    in
-    jobs := List.rev_append js !jobs;
-    if not fresh then incr reused;
-    get
-  in
-  let base = cell ~label:"baseline" (Opts.baseline ~safe:true) in
-  let techniques =
-    List.map
-      (fun (label, set) ->
-        let opts = Opts.baseline ~safe:true in
-        set opts;
-        (label, cell ~label opts))
-      [
-        ("concurrent alone", fun o -> o.Opts.concurrent_flush <- true);
-        ("early-ack alone", fun o -> o.Opts.early_ack <- true);
-        ("cacheline alone", fun o -> o.Opts.cacheline_consolidation <- true);
-        ("in-context alone", fun o -> o.Opts.in_context_flush <- true);
-      ]
-  in
-  let reduce () =
-    let base = base () in
-    let rows =
-      List.map
-        (fun (label, get) ->
-          let r = get () in
-          [
-            label;
-            Report.cycles r.Microbench.initiator_mean;
-            Report.reduction ~baseline:base.Microbench.initiator_mean
-              r.Microbench.initiator_mean;
-            Report.cycles r.Microbench.responder_mean;
-            Report.reduction ~baseline:base.Microbench.responder_mean
-              r.Microbench.responder_mean;
-          ])
-        techniques
-    in
-    Report.table
-      ~title:
-        (Printf.sprintf
-           "Ablation A — each §3 technique alone (cross-socket, safe, 10 PTEs; \
-            baseline init=%s resp=%s)"
-           (Report.cycles base.Microbench.initiator_mean)
-           (Report.cycles base.Microbench.responder_mean))
-      ~header:[ "technique"; "initiator"; "init cut"; "responder"; "resp cut" ]
-      rows
-  in
-  { Shard.name = "ablation-A"; jobs = List.rev !jobs; reused = !reused; reduce }
-
-let ablation_ipi_latency_plan () =
-  (* §2.3.2: works evaluated without multicast IPIs saw ~500k-cycle
-     shootdowns; scaling IPI latency shows how the case for *avoiding*
-     shootdowns (rather than speeding them up) depends on slow IPIs. *)
-  let scaled k =
-    {
-      Costs.default with
-      Costs.ipi_fixed = Costs.default.Costs.ipi_fixed * k;
-      ipi_smt = Costs.default.Costs.ipi_smt * k;
-      ipi_same_socket = Costs.default.Costs.ipi_same_socket * k;
-      ipi_cross_socket = Costs.default.Costs.ipi_cross_socket * k;
-    }
-  in
-  let jobs = ref [] in
-  let reused = ref 0 in
-  (* The x1 rows are value-identical to fig6's cross-socket baseline and
-     +in-context matrix cells (scaling by 1 is the default cost model), so
-     the memo reuses them in an `all` run. *)
-  let cell ~k ~label opts =
-    let cfg =
-      Microbench.default_config ~opts ~placement:Microbench.Cross_socket ~pte_count:10
-    in
-    let cfg =
-      { cfg with Microbench.costs = scaled k; iterations = micro_iters () }
-    in
-    let js, get, fresh =
-      Shard.memo_cell micro_memo ~key:(Microbench.config_key cfg)
-        ~label:(Printf.sprintf "ablation-B x%d %s" k label)
-        ~ops:(fun r -> r.Microbench.engine_ops)
-        ~weight:(Figures.micro_weight ~iterations:cfg.Microbench.iterations ~pte_count:10)
-        (fun () -> Microbench.run cfg)
-    in
-    jobs := List.rev_append js !jobs;
-    if not fresh then incr reused;
-    fun () -> (get ()).Microbench.initiator_mean
-  in
-  let row_getters =
-    List.map
-      (fun k ->
-        let base = cell ~k ~label:"baseline" (Opts.baseline ~safe:true) in
-        let all = cell ~k ~label:"all" (Opts.all_general ~safe:true) in
-        (k, base, all))
-      [ 1; 4; 16; 64 ]
-  in
-  let reduce () =
-    let rows =
-      List.map
-        (fun (k, base, all) ->
-          let base = base () and all = all () in
-          [
-            Printf.sprintf "x%d" k;
-            Report.cycles base;
-            Report.cycles all;
-            Report.reduction ~baseline:base all;
-          ])
-        row_getters
-    in
-    Report.table
-      ~title:
-        "Ablation B — IPI-latency sensitivity (initiator, cross-socket, safe, 10 \
-         PTEs): with slow pre-x2APIC IPIs the protocol work the paper optimizes \
-         is noise, which is §2.3.2's point about older evaluations"
-      ~header:[ "IPI scale"; "baseline"; "all §3"; "reduction" ]
-      rows
-  in
-  { Shard.name = "ablation-B"; jobs = List.rev !jobs; reused = !reused; reduce }
-
-let ablation_batch_slots_plan () =
-  (* Runs at fig10's scale (ops, file pages, first seed) so the slots=4
-     row — the paper's allocation, fig10's +batching config — is the same
-     cell as fig10's 8-thread point and comes from the memo in a full
-     `all` run instead of being recomputed. *)
-  let scale = Figures.fig10_scale ~quick:!quick in
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let cells =
-    List.map
-      (fun slots ->
-        let opts = Opts.all ~safe:true in
-        opts.Opts.batch_slots <- slots;
-        let cfg = Sysbench.default_config ~opts ~threads:8 in
-        let cfg =
-          {
-            cfg with
-            Sysbench.ops_per_thread = scale.Figures.sys_ops_per_thread;
-            file_pages = scale.Figures.sys_file_pages;
-            seed = List.hd scale.Figures.sys_seeds;
-          }
-        in
-        let js, get, fresh =
-          Shard.memo_cell sysbench_memo ~key:(Sysbench.config_key cfg)
-            ~label:(Printf.sprintf "ablation-C slots=%d" slots)
-            ~ops:(fun r -> r.Sysbench.engine_ops)
-            ~weight:
-              (Figures.sysbench_weight ~threads:8
-                 ~ops_per_thread:cfg.Sysbench.ops_per_thread)
-            (fun () -> Sysbench.run cfg)
-        in
-        jobs := List.rev_append js !jobs;
-        if not fresh then incr reused;
-        (slots, get))
-      [ 1; 2; 4; 8; 16 ]
-  in
-  let reduce () =
-    let rows =
-      List.map
-        (fun (slots, get) ->
-          let r = get () in
-          [
-            string_of_int slots;
-            Printf.sprintf "%.3f" r.Sysbench.throughput;
-            string_of_int r.Sysbench.shootdowns;
-            string_of_int r.Sysbench.batched_deferrals;
-          ])
-        cells
-    in
-    Report.table
-      ~title:
-        "Ablation C — §4.2 batch slots (sysbench, 8 threads, safe, fig10 scale; \
-         the paper allocates 4)"
-      ~header:[ "slots"; "ops/kcyc"; "shootdowns"; "deferrals" ]
-      rows
-  in
-  { Shard.name = "ablation-C"; jobs = List.rev !jobs; reused = !reused; reduce }
-
-let ablation_full_flush_threshold_plan () =
-  (* madvise of 24 pages: below the threshold the kernel INVLPGs 24 entries
-     per CPU; above it one cheap CR3 reload flushes everything — faster for
-     the flusher, but every other cached translation is collateral (§2.1:
-     Linux picks 33, FreeBSD 4096). *)
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let cell ~threshold ~safe =
-    let opts = Opts.all_general ~safe in
-    opts.Opts.full_flush_threshold <- threshold;
-    let js, get, fresh =
-      micro_cell_job
-        ~label:
-          (Printf.sprintf "ablation-D t=%d %s" threshold
-             (if safe then "safe" else "unsafe"))
-        ~opts ~placement:Microbench.Cross_socket ~pte_count:24
-    in
-    jobs := List.rev_append js !jobs;
-    if not fresh then incr reused;
-    fun () ->
-      let r = get () in
-      (r.Microbench.initiator_mean, r.Microbench.responder_mean)
-  in
-  let row_getters =
-    List.map
-      (fun threshold ->
-        let s = cell ~threshold ~safe:true in
-        let u = cell ~threshold ~safe:false in
-        (threshold, s, u))
-      [ 8; 16; 33; 64 ]
-  in
-  let reduce () =
-    let rows =
-      List.map
-        (fun (threshold, s, u) ->
-          let si, sr = s () and ui, ur = u () in
-          [
-            string_of_int threshold;
-            (if threshold < 24 then "full" else "ranged");
-            Report.cycles si;
-            Report.cycles sr;
-            Report.cycles ui;
-            Report.cycles ur;
-          ])
-        row_getters
-    in
-    Report.table
-      ~title:
-        "Ablation D — full-flush threshold on a 24-page madvise (cross-socket): \
-         a full flush is cheaper for the flusher but drops every cached \
-         translation"
-      ~header:
-        [ "threshold"; "mode"; "safe init"; "safe resp"; "unsafe init"; "unsafe resp" ]
-      rows
-  in
-  { Shard.name = "ablation-D"; jobs = List.rev !jobs; reused = !reused; reduce }
-
-let ablation_paravirt_fracture_plan () =
-  (* §7's proposed mitigation: a host-provided fracturing hint makes the
-     guest use one full flush instead of n selective flushes that would be
-     promoted to full anyway. Pure TLB modelling: no engine ops. *)
-  let cfg = { Fracture.working_set_pages = 512; rounds = 1; tlb_capacity = 1536 } in
-  let shape = List.nth Fracture.table4_rows 1 (* host=4K guest=2M *) in
-  let flush_count = 16 in
-  let run ~hint () =
-    let mmu = Fracture.build_mmu_for_tests cfg shape in
-    Nested_mmu.set_paravirt_fracture_hint mmu hint;
-    ignore
-      (Nested_mmu.touch_range mmu ~start_vpn:Fracture.base_vpn
-         ~pages:cfg.Fracture.working_set_pages);
-    let instructions =
-      Nested_mmu.flush_pages mmu
-        ~vpns:(List.init flush_count (fun i -> Fracture.base_vpn + (i * 3)))
-    in
-    let _, misses =
-      Nested_mmu.touch_range mmu ~start_vpn:Fracture.base_vpn
-        ~pages:cfg.Fracture.working_set_pages
-    in
-    (instructions, misses)
-  in
-  let no_job, get_no =
-    Shard.cell ~label:"paravirt unhinted" ~weight:1000.0 (run ~hint:false)
-  in
-  let yes_job, get_yes =
-    Shard.cell ~label:"paravirt hinted" ~weight:1000.0 (run ~hint:true)
-  in
-  let reduce () =
-    let i_no, m_no = get_no () in
-    let i_yes, m_yes = get_yes () in
-    Report.table
-      ~title:
-        "Extension (§7) — paravirtual fracturing hint: flushing 16 pages of a \
-         fractured guest working set"
-      ~header:[ "guest behaviour"; "flush instructions"; "misses on re-touch" ]
-      [
-        [ "16 selective flushes (unhinted)"; string_of_int i_no; Report.count m_no ];
-        [ "1 full flush (hinted)"; string_of_int i_yes; Report.count m_yes ];
-      ]
-  in
-  { Shard.name = "paravirt"; jobs = [ no_job; yes_job ]; reused = 0; reduce }
-
-let ablation_freebsd_plan () =
-  (* §3.3 dismisses FreeBSD's scheme because smp_ipi_mtx admits one
-     shootdown machine-wide; under concurrent mutators the serialization
-     shows up directly. Runs at fig10's scale so the Linux rows (baseline
-     and all-six) coincide with fig10's 2- and 8-thread points and, in a
-     full `all` run, come from the memo; only the FreeBSD rows are new
-     simulation work. *)
-  let scale = Figures.fig10_scale ~quick:!quick in
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let cells =
-    List.concat_map
-      (fun threads ->
-        List.map
-          (fun (label, opts) ->
-            let cfg = Sysbench.default_config ~opts ~threads in
-            let cfg =
-              {
-                cfg with
-                Sysbench.ops_per_thread = scale.Figures.sys_ops_per_thread;
-                file_pages = scale.Figures.sys_file_pages;
-                seed = List.hd scale.Figures.sys_seeds;
-              }
-            in
-            let js, get, fresh =
-              Shard.memo_cell sysbench_memo ~key:(Sysbench.config_key cfg)
-                ~label:(Printf.sprintf "ablation-E %s t=%d" label threads)
-                ~ops:(fun r -> r.Sysbench.engine_ops)
-                ~weight:
-                  (Figures.sysbench_weight ~threads
-                     ~ops_per_thread:cfg.Sysbench.ops_per_thread)
-                (fun () -> Sysbench.run cfg)
-            in
-            jobs := List.rev_append js !jobs;
-            if not fresh then incr reused;
-            (label, threads, get))
-          [
-            ("Linux baseline", Opts.baseline ~safe:true);
-            ("FreeBSD (smp_ipi_mtx)", Opts.freebsd ~safe:true);
-            ("Linux + all six", Opts.all ~safe:true);
-          ])
-      [ 2; 8 ]
-  in
-  let reduce () =
-    let rows =
-      List.map
-        (fun (label, threads, get) ->
-          [ label; string_of_int threads; Printf.sprintf "%.3f" (get ()).Sysbench.throughput ])
-        cells
-    in
-    Report.table
-      ~title:
-        "Ablation E — protocol comparison on sysbench (safe mode, fig10 scale): \
-         FreeBSD's global shootdown mutex vs Linux's concurrent protocol vs the \
-         paper's optimizations"
-      ~header:[ "protocol"; "threads"; "ops/kcyc" ]
-      rows
-  in
-  { Shard.name = "ablation-E"; jobs = List.rev !jobs; reused = !reused; reduce }
-
-(* A task is a name and a builder returning the plan and its extra
-   BENCH_PERF.json rows; most plans add none beyond their experiment row. *)
-let plain tasks =
-  List.map (fun (name, build) -> (name, fun () -> (build (), fun () -> []))) tasks
-
-let ablation_tasks =
-  plain
-  [
-    ("ablation-A", ablation_single_opt_plan);
-    ("ablation-B", ablation_ipi_latency_plan);
-    ("ablation-C", ablation_batch_slots_plan);
-    ("ablation-D", ablation_full_flush_threshold_plan);
-    ("ablation-E", ablation_freebsd_plan);
-    ("paravirt", ablation_paravirt_fracture_plan);
-  ]
-
-(* ----- Big-machine scaling (DESIGN.md §12) ----- *)
-
-let bigmachine_plan () =
-  let cells =
-    List.map
-      (fun n_cpus ->
-        let cfg = Bigmachine.default_config ~opts:(Opts.all ~safe:true) ~n_cpus in
-        (* The canonical quick shaping, shared with shootout --workloads so
-           the 56-CPU paper cell is one memo entry, not two near-twins. *)
-        let cfg = if !quick then Bigmachine.quick_shape cfg else cfg in
-        let js, get, fresh =
-          Shard.memo_cell bigmachine_memo ~key:(Bigmachine.config_key cfg)
-            ~label:(Printf.sprintf "bigmachine %d" n_cpus)
-            ~ops:(fun r -> r.Bigmachine.engine_ops)
-            (* Same work at every size; the bigger machines only pay more
-               setup, so weight on the op count with a mild size bump. *)
-            ~weight:
-              (float_of_int
-                 (cfg.Bigmachine.tenants * cfg.Bigmachine.threads_per_tenant
-                 * cfg.Bigmachine.ops_per_thread
-                 * 40
-                 + n_cpus * 100))
-            (fun () -> Bigmachine.run cfg)
-        in
-        (n_cpus, js, get, fresh))
-      Bigmachine.sizes
-  in
-  let jobs = List.concat_map (fun (_, js, _, _) -> js) cells in
-  let reused = List.length (List.filter (fun (_, _, _, fresh) -> not fresh) cells) in
-  let results () = List.map (fun (n, _, get, _) -> (n, get ())) cells in
-  let reduce () =
-    Report.table
-      ~title:
-        "Big-machine scaling — identical multi-tenant churn, growing machine \
-         (flat cycles/shootdown = O(active CPUs) hot paths)"
-      ~header:
-        [ "cpus"; "threads"; "shootdowns"; "IPIs"; "ICR writes"; "cycles/shootdown" ]
-      (List.map
-         (fun (n, r) ->
-           [
-             string_of_int n;
-             string_of_int r.Bigmachine.threads;
-             string_of_int r.Bigmachine.shootdowns;
-             string_of_int r.Bigmachine.ipis;
-             string_of_int r.Bigmachine.icr_writes;
-             Printf.sprintf "%.0f" r.Bigmachine.cycles_per_shootdown;
-           ])
-         (results ()))
-  in
-  let rows () =
-    List.map
-      (fun (n, r) ->
-        Perf_row.(
-          row "bigmachine" (Printf.sprintf "bigmachine-%d" n)
-            [
-              int "n_cpus" n;
-              int "threads" r.Bigmachine.threads;
-              int "ops" r.Bigmachine.ops;
-              int "shootdowns" r.Bigmachine.shootdowns;
-              int "ipis" r.Bigmachine.ipis;
-              int "icr_writes" r.Bigmachine.icr_writes;
-              int "churns" r.Bigmachine.churns;
-              float "cycles_per_shootdown" r.Bigmachine.cycles_per_shootdown;
-              int "engine_ops" r.Bigmachine.engine_ops;
-            ]))
-      (results ())
-  in
-  ({ Shard.name = "bigmachine"; jobs; reused; reduce }, rows)
-
-(* ----- Shootout: protocol-backend comparison (DESIGN.md §13) ----- *)
-
-let shootout_plan () =
-  let jobs, get_rows = Shootout.plan_cells ~iterations:(micro_iters ()) () in
-  let reduce () =
-    let cell = function None -> "-" | Some v -> Printf.sprintf "%.0f" v in
-    Report.table
-      ~title:
-        "Shootout — protocol backends on the cross-socket madvise microbenchmark \
-         (10 PTEs, safe mode; phase p50s in cycles)"
-      ~header:
-        [
-          "backend"; "initiator"; "responder"; "prep"; "ipi"; "flush"; "ack";
-          "line xfers";
-        ]
-      (List.map
-         (fun r ->
-           [
-             r.Shootout.sh_label;
-             Report.cycles r.Shootout.sh_initiator_mean;
-             Report.cycles r.Shootout.sh_responder_mean;
-             cell r.Shootout.sh_prep_p50;
-             cell r.Shootout.sh_ipi_p50;
-             cell r.Shootout.sh_flush_p50;
-             cell r.Shootout.sh_ack_p50;
-             string_of_int r.Shootout.sh_line_transfers;
-           ])
-         (get_rows ()))
-  in
-  let rows () =
-    List.map
-      (fun r ->
-        Perf_row.(
-          row "shootout" r.Shootout.sh_label
-            [
-              float "initiator_mean" r.Shootout.sh_initiator_mean;
-              float "initiator_sd" r.Shootout.sh_initiator_sd;
-              float "responder_mean" r.Shootout.sh_responder_mean;
-              int "shootdowns" r.Shootout.sh_shootdowns;
-              ("prep_p50", r.Shootout.sh_prep_p50);
-              ("ipi_p50", r.Shootout.sh_ipi_p50);
-              ("flush_p50", r.Shootout.sh_flush_p50);
-              ("ack_p50", r.Shootout.sh_ack_p50);
-              int "line_transfers" r.Shootout.sh_line_transfers;
-              float "line_cycles" r.Shootout.sh_line_cycles;
-            ]))
-      (get_rows ())
-  in
-  ({ Shard.name = "shootout"; jobs; reused = 0; reduce }, rows)
-
-(* ----- Shootout workloads: fig10/fig11/bigmachine-56 per backend ----- *)
-
-(* Planned LAST (see [all_tasks]): the paper backend's cells are
-   value-identical to fig10/fig11's "+batching" stack and the bigmachine
-   56-CPU config, so in an `all` run they are owned by those earlier plans
-   and every paper row reads from the memo. *)
-let shootout_workloads_plan () =
-  let jobs, get, reused =
-    Shootout.workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo
-      ~fig10:(Figures.fig10_scale ~quick:!quick)
-      ~fig11:(Figures.fig11_scale ~quick:!quick)
-      ~quick:!quick ()
-  in
-  let reduce () =
-    let report = get () in
-    let backend_cols = List.map (fun (l, _) -> l) (Shootout.workload_backends ()) in
-    let tput_table ~title ~axis ~fmt rows =
-      match rows with
-      | [] -> ()
-      | (_, first) :: _ ->
-          Report.table ~title ~header:(axis :: backend_cols)
-            (List.mapi
-               (fun i (n, _, _) ->
-                 string_of_int n
-                 :: List.map
-                      (fun (_, cells) ->
-                        let _, t, _ = List.nth cells i in
-                        Printf.sprintf fmt t)
-                      rows)
-               first)
-    in
-    tput_table
-      ~title:
-        "Shootout workloads — fig10 sysbench ops/kcyc per protocol backend (safe \
-         mode)"
-      ~axis:"threads" ~fmt:"%.3f" report.Shootout.wl_fig10;
-    tput_table
-      ~title:
-        "Shootout workloads — fig11 apache req/Mcyc per protocol backend (safe mode)"
-      ~axis:"cores" ~fmt:"%.2f" report.Shootout.wl_fig11;
-    Report.table
-      ~title:
-        "Shootout workloads — bigmachine-56 multi-tenant churn per protocol backend"
-      ~header:[ "backend"; "cycles/shootdown"; "shootdowns"; "IPIs"; "ICR writes" ]
-      (List.map
-         (fun (p, r) ->
-           [
-             Opts.protocol_label p;
-             Printf.sprintf "%.0f" r.Bigmachine.cycles_per_shootdown;
-             string_of_int r.Bigmachine.shootdowns;
-             string_of_int r.Bigmachine.ipis;
-             string_of_int r.Bigmachine.icr_writes;
-           ])
-         report.Shootout.wl_big)
-  in
-  let rows () =
-    List.map
-      (fun r ->
-        Perf_row.row "workloads"
-          (r.Shootout.wl_experiment ^ "/" ^ Opts.protocol_label r.Shootout.wl_protocol)
-          [
-            ("throughput", r.Shootout.wl_throughput);
-            ("cycles_per_shootdown", r.Shootout.wl_cycles_per_shootdown);
-            Perf_row.int "shootdowns" r.Shootout.wl_shootdowns;
-          ])
-      (get ()).Shootout.wl_rows
-  in
-  ({ Shard.name = "shootout-workloads"; jobs; reused; reduce }, rows)
+   engine_ops null — an explicit n/a, never a misleading 0. Each entry's
+   extra BENCH_PERF.json rows (lib/perf_row/perf_row.ml) come from the
+   registry, read from the same cell getters as its reduce. *)
 
 (* ----- Bechamel: wall-clock self-measurement of the harness ----- *)
 
-let bechamel () =
+let bechamel ~quick =
   let open Bechamel in
   let micro_test =
     Test.make ~name:"figs5-8:microbench-cell"
@@ -854,7 +55,13 @@ let bechamel () =
                ~opts:(Opts.all_general ~safe:true)
                ~placement:Microbench.Cross_socket ~pte_count:10
            in
-           ignore (Microbench.run { cfg with Microbench.iterations = micro_iters (); warmup = 20 })))
+           ignore
+             (Microbench.run
+                {
+                  cfg with
+                  Microbench.iterations = Experiments.micro_iterations ~quick;
+                  warmup = 20;
+                })))
   in
   let cow_test =
     Test.make ~name:"fig9:cow-bench"
@@ -900,47 +107,18 @@ let bechamel () =
          | Some [ est ] -> Printf.printf "  %-32s %12.0f ns/run\n" name est
          | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
 
-(* ----- driver: named experiments, sharded over the domain pool ----- *)
+(* ----- driver: registry entries, sharded over the domain pool ----- *)
 
-let fig_tasks =
-  plain
-  [
-    ("fig5", micro_figure_plan ~fig:5 ~safe:true ~pte_count:1);
-    ("fig6", micro_figure_plan ~fig:6 ~safe:true ~pte_count:10);
-    ("fig7", micro_figure_plan ~fig:7 ~safe:false ~pte_count:1);
-    ("fig8", micro_figure_plan ~fig:8 ~safe:false ~pte_count:10);
-  ]
-
-let all_tasks =
-  fig_tasks
-  @ plain
-  [
-      ("table3", table3_plan);
-      ("fig9", fig9_plan);
-      ("fig10", fig10_plan);
-      ("fig11", fig11_plan);
-      ("table2", table2_plan);
-      ("table4", table4_plan);
-    ]
-  @ ablation_tasks
-  @ [
-      ("bigmachine", bigmachine_plan);
-      ("shootout", shootout_plan);
-      (* Last on purpose: its paper-backend cells must find fig10/fig11/
-         bigmachine already owning the shared memo entries. *)
-      ("shootout-workloads", shootout_workloads_plan);
-    ]
-
-(* Plan every requested experiment (sequential: the cell memos assign
-   shared cells to their first requester), execute all cells on one shared
-   pool, reduce in order. *)
-let execute ~jobs tasks =
-  let built = List.map (fun (_, build) -> build ()) tasks in
-  let outcomes, gc = Shard.execute ~progress:!verbose ~jobs (List.map fst built) in
+(* Plan the entries (sequential: the context's cell memos assign shared
+   cells to their first requester), execute all cells on one shared pool,
+   reduce in order. *)
+let execute ~verbose ~jobs ctx entries =
+  let built = List.map (fun e -> e.Experiments.build ctx) entries in
+  let outcomes, gc = Shard.execute ~progress:verbose ~jobs (List.map fst built) in
   (outcomes, gc, fun () -> List.concat_map (fun (_, rows) -> rows ()) built)
 
-let run_tasks ~jobs tasks =
-  let outcomes, _gc, _rows = execute ~jobs tasks in
+let run_entries ~verbose ~jobs ctx entries =
+  let outcomes, _gc, _rows = execute ~verbose ~jobs ctx entries in
   List.iter
     (fun o ->
       let m = o.Shard.out_measure in
@@ -954,8 +132,8 @@ let run_tasks ~jobs tasks =
 (* Per-phase shootdown latency percentiles from a small metered Observe
    sweep, run after the (unmetered) experiments so their timing rows are
    untouched. *)
-let phases_rows ~jobs =
-  let metrics = Observe.collect ~iterations:(if !quick then 50 else 200) ~jobs () in
+let phases_rows ~quick ~jobs =
+  let metrics = Observe.collect ~iterations:(if quick then 50 else 200) ~jobs () in
   List.filter_map
     (fun s ->
       let st = Metrics.stats s in
@@ -977,9 +155,9 @@ let phases_rows ~jobs =
               [ int "count" (Stats.count st); float "p50" (pct 50.0); float "p99" (pct 99.0) ]))
     (Metrics.all metrics)
 
-let perf ~jobs () =
+let perf ~quick ~verbose ~jobs ctx =
   let t0 = Unix.gettimeofday () in
-  let outcomes, pool_gc, task_rows = execute ~jobs all_tasks in
+  let outcomes, pool_gc, entry_rows = execute ~verbose ~jobs ctx Experiments.registry in
   let elapsed = Unix.gettimeofday () -. t0 in
   let rate ops wall = if wall > 0.0 then Some (float_of_int ops /. wall) else None in
   List.iter
@@ -1030,13 +208,13 @@ let perf ~jobs () =
      counters have folded into this domain's, so a plain quick_stat here
      sums every domain — the cross-domain aggregate perf mode reports. *)
   let gc = Gc.quick_stat () in
-  let phases = phases_rows ~jobs in
+  let phases = phases_rows ~quick ~jobs in
   let pg = pool_gc in
   Perf_row.(
     write "BENCH_PERF.json"
-      ~mode:(if !quick then "quick" else "full")
+      ~mode:(if quick then "quick" else "full")
       (List.map experiment outcomes
-      @ phases @ task_rows ()
+      @ phases @ entry_rows ()
       @ [
           row "total" "run"
             [
@@ -1068,12 +246,13 @@ let perf ~jobs () =
     total_wall elapsed jobs (List.length outcomes)
 
 let usage () =
-  Printf.eprintf
-    "usage: main.exe [quick] [-v] [-j N] [fig5..fig11 | figs5-8 | table2 | table3 | \
-     table4 | ablation | all | perf | bechamel]\n";
+  let commands = Experiments.names @ Experiments.groups @ [ "perf"; "bechamel" ] in
+  Printf.eprintf "usage: main.exe [quick] [-v] [-j N] [%s]\n" (String.concat " | " commands);
   exit 2
 
 let () =
+  let quick = ref false in
+  let verbose = ref false in
   let jobs = ref 1 in
   let rec parse acc = function
     | [] -> List.rev acc
@@ -1099,32 +278,21 @@ let () =
     | arg :: rest -> parse (arg :: acc) rest
   in
   let cmds = parse [] (List.tl (Array.to_list Sys.argv)) in
+  let quick = !quick and verbose = !verbose in
   let jobs = if !jobs <= 0 then Domain_pool.default_jobs () else !jobs in
   (* The main domain gets the same allocation-storm GC relief as the pool's
      workers; tuning affects wall-clock only, never simulated results. *)
   Domain_pool.tune_current_domain ();
-  let group = function
-    | "figs5-8" -> Some fig_tasks
-    | ("fig5" | "fig6" | "fig7" | "fig8" | "table3" | "fig9" | "fig10" | "fig11"
-      | "table2" | "table4" | "bigmachine" | "shootout" | "shootout-workloads") as cmd
-      ->
-        Some (List.filter (fun (n, _) -> String.equal n cmd) all_tasks)
-    | "ablation" -> Some ablation_tasks
-    | "all" -> Some all_tasks
-    | _ -> None
-  in
-  match cmds with
-  | [] -> run_tasks ~jobs all_tasks
-  | cmds ->
-      List.iter
-        (fun cmd ->
-          match group cmd with
-          | Some tasks -> run_tasks ~jobs tasks
-          | None -> (
-              match cmd with
-              | "bechamel" -> bechamel ()
-              | "perf" -> perf ~jobs ()
-              | other ->
-                  Printf.eprintf "unknown experiment %S\n" other;
-                  usage ()))
-        cmds
+  let ctx = Experiments.context ~quick () in
+  List.iter
+    (fun cmd ->
+      match Experiments.select cmd with
+      | Some entries -> run_entries ~verbose ~jobs ctx entries
+      | None -> (
+          match cmd with
+          | "bechamel" -> bechamel ~quick
+          | "perf" -> perf ~quick ~verbose ~jobs ctx
+          | other ->
+              Printf.eprintf "unknown experiment %S\n" other;
+              usage ()))
+    (match cmds with [] -> [ "all" ] | cmds -> cmds)

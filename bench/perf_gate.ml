@@ -1,4 +1,4 @@
-(* Perf regression gate over BENCH_PERF.json (bench/perf_row.ml).
+(* Perf regression gate over BENCH_PERF.json (lib/perf_row/perf_row.ml).
 
      perf_gate.exe BASELINE.json CURRENT.json [--threshold 0.25]
 

@@ -462,10 +462,25 @@ let shootout_cmd =
   in
   let run format ptes iterations seed jobs workloads =
     let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
-    if workloads then print_string (Shootout.run_workloads ~jobs format)
+    (* Plan the registry's entry on a fresh context, execute it, and render
+       its typed result; the bench table its reduce prints is captured by
+       [Shard.execute] and dropped. *)
+    let execute (plan, get) =
+      ignore (Shard.execute ~jobs [ plan ] : Shard.outcome list * Domain_pool.gc_totals);
+      get ()
+    in
+    if workloads then begin
+      let ctx = Experiments.context ~quick:true () in
+      print_string
+        (Shootout.render_workloads format (execute (Experiments.shootout_workloads ctx)))
+    end
     else
       print_string
-        (Shootout.run ~pte_count:ptes ~iterations ~seed:(Int64.of_int seed) ~jobs format)
+        (Shootout.render format
+           (execute
+              (Experiments.shootout
+                 (Experiments.context ~shootout_ptes:ptes ~shootout_iterations:iterations
+                    ~shootout_seed:(Int64.of_int seed) ~quick:false ()))))
   in
   Cmd.v
     (Cmd.info "shootout"

@@ -1,7 +1,8 @@
 (* The BENCH_PERF.json format: one row type, its writer, a small JSON
    reader and the table of gated metrics. Stdlib only, so the gate stays
-   dependency-free; bench/main.exe writes through it and
-   bench/perf_gate.exe reads through it.
+   dependency-free; the experiment registry (lib/workloads/experiments.ml)
+   builds rows, bench/main.exe writes them and bench/perf_gate.exe reads
+   them.
 
    A file is one JSON object: ["schema"], ["mode"], then one array per
    row family (["experiments"], ["phases"], ["bigmachine"], ...). Every

@@ -1,72 +1,112 @@
-(* Shard plans for the paper's multi-run experiments.
+(* Shard cells for every workload type, and the plans for the paper's
+   two application figures.
 
-   Each builder flattens an experiment's (config, seed) matrix into
-   Shard cells at plan time and returns a reduce that reassembles the
-   published tables from the cell slots. Configs are built here — opts
-   copied per cell, the seed baked into the config — so every cell is a
-   pure function of its own state and per-run RNG streams derive from the
-   run's own seed, never from mutable state shared across cells.
+   Each workload type has one memoized-cell constructor: it keys the cell
+   by the workload's [config_key], extracts its engine ops, estimates its
+   weight and runs it. Configs are built by the callers — opts copied per
+   cell, the seed baked into the config — so every cell is a pure function
+   of its own state and per-run RNG streams derive from the run's own
+   seed, never from mutable state shared across cells.
 
    Weights are rough per-run engine-op estimates calibrated from
    BENCH_PERF.json; only their relative order matters (LPT scheduling). *)
 
 (* ~90 ops per iteration at 1 PTE, ~390 at 10 (measured). *)
-let micro_weight ~iterations ~pte_count = float_of_int (iterations * (60 + (35 * pte_count)))
+let micro_cell memo acc ~label (cfg : Microbench.config) =
+  Shard.memo_cell acc memo ~key:(Microbench.config_key cfg) ~label
+    ~ops:(fun r -> r.Microbench.engine_ops)
+    ~weight:
+      (float_of_int (cfg.Microbench.iterations * (60 + (35 * cfg.Microbench.pte_count))))
+    (fun () -> Microbench.run cfg)
 
 (* ~230 engine ops per thread·write (measured: 735k ops for the mean
    fig10 run at 288 writes across 11.2 threads). *)
-let sysbench_weight ~threads ~ops_per_thread = float_of_int (threads * ops_per_thread * 230)
+let sysbench_cell memo acc ~label (cfg : Sysbench.config) =
+  Shard.memo_cell acc memo ~key:(Sysbench.config_key cfg) ~label
+    ~ops:(fun r -> r.Sysbench.engine_ops)
+    ~weight:(float_of_int (cfg.Sysbench.threads * cfg.Sysbench.ops_per_thread * 230))
+    (fun () -> Sysbench.run cfg)
 
 (* ~370 ops per request at the sweep's midpoint, growing with cores. *)
-let apache_weight ~cores ~requests = float_of_int (requests * (250 + (15 * cores)))
+let apache_cell memo acc ~label (cfg : Apache.config) =
+  Shard.memo_cell acc memo ~key:(Apache.config_key cfg) ~label
+    ~ops:(fun r -> r.Apache.engine_ops)
+    ~weight:(float_of_int (cfg.Apache.requests * (250 + (15 * cfg.Apache.cores))))
+    (fun () -> Apache.run cfg)
 
-(* ----- Figures 5-8 / Table 3: the madvise microbenchmark matrices ----- *)
+let cow_cell memo acc ~label (cfg : Cow_bench.config) =
+  Shard.memo_cell acc memo ~key:(Cow_bench.config_key cfg) ~label
+    ~ops:(fun r -> r.Cow_bench.engine_ops)
+    ~weight:(float_of_int (cfg.Cow_bench.rounds * cfg.Cow_bench.pages_per_round * 12))
+    (fun () -> Cow_bench.run cfg)
 
-type micro_matrix = (Microbench.placement * (string * Microbench.result) list) list
+(* Same work at every size; the bigger machines only pay more setup, so
+   weight on the op count with a mild size bump. *)
+let bigmachine_cell memo acc ~label (cfg : Bigmachine.config) =
+  let n_cpus =
+    cfg.Bigmachine.sockets * cfg.Bigmachine.cores_per_socket * cfg.Bigmachine.smt
+  in
+  Shard.memo_cell acc memo ~key:(Bigmachine.config_key cfg) ~label
+    ~ops:(fun r -> r.Bigmachine.engine_ops)
+    ~weight:
+      (float_of_int
+         ((cfg.Bigmachine.tenants * cfg.Bigmachine.threads_per_tenant
+          * cfg.Bigmachine.ops_per_thread * 40)
+         + (n_cpus * 100)))
+    (fun () -> Bigmachine.run cfg)
 
-(* All stacks for all placements, as memoized cells; the getter rebuilds
-   the (placement, (label, result) list) list shape the table printers
-   eat. Figures 5-8 and table 3 request the same matrices, and several
-   ablation rows coincide with matrix cells, so the first requester owns
-   each job and later ones only read — [reused] counts the latter. *)
-let micro_matrix_cells ~memo ~iterations ~warmup ~safe ~pte_count =
-  let stacks = Opts.cumulative_general ~safe in
-  let jobs = ref [] in
-  let reused = ref 0 in
+(* One column: a memoized cell per (point, seed), reduced per point to
+   the seed-averaged throughput and the seed-summed shootdown count. *)
+let column ~points ~seeds ~cell ~throughput ~shootdowns =
   let rows =
     List.map
-      (fun placement ->
-        let cells =
-          List.map
-            (fun (label, opts) ->
-              let cfg =
-                Microbench.default_config ~opts:(Opts.copy opts) ~placement ~pte_count
-              in
-              let cfg = { cfg with Microbench.iterations; warmup } in
-              let js, get, fresh =
-                Shard.memo_cell memo ~key:(Microbench.config_key cfg)
-                  ~label:
-                    (Printf.sprintf "micro %s %dpte %s %s"
-                       (if safe then "safe" else "unsafe")
-                       pte_count
-                       (Microbench.placement_label placement)
-                       label)
-                  ~ops:(fun r -> r.Microbench.engine_ops)
-                  ~weight:(micro_weight ~iterations ~pte_count)
-                  (fun () -> Microbench.run cfg)
-              in
-              jobs := List.rev_append js !jobs;
-              if not fresh then incr reused;
-              (label, get))
-            stacks
+      (fun n ->
+        let getters = List.map (fun seed -> cell ~n ~seed) seeds in
+        let nseeds = float_of_int (List.length getters) in
+        fun () ->
+          let tput =
+            List.fold_left (fun acc g -> acc +. throughput (g ())) 0.0 getters /. nseeds
+          in
+          (n, tput, List.fold_left (fun acc g -> acc + shootdowns (g ())) 0 getters))
+      points
+  in
+  fun () -> List.map (fun g -> g ()) rows
+
+(* Figures 10 and 11 share one shape: per mode, a baseline column and one
+   column per cumulative stack, printed as speedups over the baseline. *)
+let speedup_plan ~name ~axis ~base_header ~base_fmt ~title column =
+  let acc = Shard.acc () in
+  let sides =
+    List.map
+      (fun safe ->
+        let mode = if safe then "safe" else "unsafe" in
+        let tag l = Printf.sprintf "%s %s %s" name mode l in
+        let stacks = Opts.cumulative_workload ~safe in
+        let base = column acc ~label:(tag "base") (Opts.baseline ~safe) in
+        let columns =
+          List.map (fun (label, opts) -> column acc ~label:(tag label) opts) stacks
         in
-        (placement, cells))
-      Microbench.all_placements
+        (safe, List.map fst stacks, base, columns))
+      [ true; false ]
   in
-  let get () =
-    List.map (fun (p, cells) -> (p, List.map (fun (l, g) -> (l, g ())) cells)) rows
+  let reduce () =
+    List.iter
+      (fun (safe, stack_labels, base, stacks) ->
+        let stacks = List.map (fun col -> col ()) stacks in
+        Report.table ~title:(title ~safe)
+          ~header:(axis :: base_header :: stack_labels)
+          (List.mapi
+             (fun i (n, base, _) ->
+               string_of_int n :: base_fmt base
+               :: List.map
+                    (fun col ->
+                      let _, t, _ = List.nth col i in
+                      Report.speedup (t /. base))
+                    stacks)
+             (base ())))
+      sides
   in
-  (List.rev !jobs, get, !reused)
+  Shard.plan_of acc ~name reduce
 
 (* ----- Figure 10: Sysbench ----- *)
 
@@ -88,133 +128,32 @@ let fig10_scale ~quick =
       sys_file_pages = 4096;
     }
 
-let fig10_plan ~memo scale =
-  let jobs = ref [] in
-  let reused = ref 0 in
-  (* One memoized cell per (config, seed); the getter averages the seeds. *)
-  let avg_cell ~tag ~opts ~n =
-    let getters =
-      List.map
-        (fun seed ->
-          let cfg = Sysbench.default_config ~opts:(Opts.copy opts) ~threads:n in
-          let cfg =
-            {
-              cfg with
-              Sysbench.ops_per_thread = scale.sys_ops_per_thread;
-              file_pages = scale.sys_file_pages;
-              seed;
-            }
-          in
-          let js, get, fresh =
-            Shard.memo_cell memo ~key:(Sysbench.config_key cfg)
-              ~label:(Printf.sprintf "fig10 %s t=%d seed=%Ld" tag n seed)
-              ~ops:(fun r -> r.Sysbench.engine_ops)
-              ~weight:(sysbench_weight ~threads:n ~ops_per_thread:scale.sys_ops_per_thread)
-              (fun () -> Sysbench.run cfg)
-          in
-          jobs := List.rev_append js !jobs;
-          if not fresh then incr reused;
-          get)
-        scale.sys_seeds
-    in
-    fun () ->
-      List.fold_left (fun acc g -> acc +. (g ()).Sysbench.throughput) 0.0 getters
-      /. float_of_int (List.length getters)
-  in
-  let sides =
-    List.map
-      (fun safe ->
-        let stacks = Opts.cumulative_workload ~safe in
-        let tag l = Printf.sprintf "%s %s" (if safe then "safe" else "unsafe") l in
-        let rows =
-          List.map
-            (fun n ->
-              let base = avg_cell ~tag:(tag "base") ~opts:(Opts.baseline ~safe) ~n in
-              let cells =
-                List.map (fun (label, opts) -> avg_cell ~tag:(tag label) ~opts ~n) stacks
-              in
-              (n, base, cells))
-            scale.sys_threads
-        in
-        (safe, List.map fst stacks, rows))
-      [ true; false ]
-  in
-  let reduce () =
-    List.iter
-      (fun (safe, stack_labels, rows) ->
-        let header = "threads" :: "base ops/kcyc" :: stack_labels in
-        let rows =
-          List.map
-            (fun (n, base, cells) ->
-              let base = base () in
-              string_of_int n
-              :: Printf.sprintf "%.3f" base
-              :: List.map (fun cellv -> Report.speedup (cellv () /. base)) cells)
-            rows
-        in
-        Report.table
-          ~title:
-            (Printf.sprintf
-               "Figure 10 — Sysbench rnd-write + fdatasync speedup over baseline (%s \
-                mode; paper: up to 1.22x, batching up to 1.18x, gains fade at high \
-                thread counts)"
-               (if safe then "safe" else "unsafe"))
-          ~header rows)
-      sides
-  in
-  { Shard.name = "fig10"; jobs = List.rev !jobs; reused = !reused; reduce }
+let fig10_config scale ~opts ~threads ~seed =
+  {
+    (Sysbench.default_config ~opts:(Opts.copy opts) ~threads) with
+    Sysbench.ops_per_thread = scale.sys_ops_per_thread;
+    file_pages = scale.sys_file_pages;
+    seed;
+  }
 
-(* One backend's fig10 column for the cross-backend workload comparison
-   (DESIGN.md §13): a memoized cell per (thread count, seed) under [opts],
-   reduced per thread count to the seed-averaged throughput plus the
-   seed-summed shootdown count. The paper backend's opts
-   ([Opts.all ~safe:true]) are value-identical to fig10's final
-   "+batching" stack, so when this is planned after {!fig10_plan} on the
-   same memo every paper cell is reused, never recomputed. *)
-let fig10_backend_cells ~memo ~tag ~opts scale =
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let rows =
-    List.map
-      (fun n ->
-        let getters =
-          List.map
-            (fun seed ->
-              let cfg = Sysbench.default_config ~opts:(Opts.copy opts) ~threads:n in
-              let cfg =
-                {
-                  cfg with
-                  Sysbench.ops_per_thread = scale.sys_ops_per_thread;
-                  file_pages = scale.sys_file_pages;
-                  seed;
-                }
-              in
-              let js, get, fresh =
-                Shard.memo_cell memo ~key:(Sysbench.config_key cfg)
-                  ~label:(Printf.sprintf "wl-fig10 %s t=%d seed=%Ld" tag n seed)
-                  ~ops:(fun r -> r.Sysbench.engine_ops)
-                  ~weight:
-                    (sysbench_weight ~threads:n ~ops_per_thread:scale.sys_ops_per_thread)
-                  (fun () -> Sysbench.run cfg)
-              in
-              jobs := List.rev_append js !jobs;
-              if not fresh then incr reused;
-              get)
-            scale.sys_seeds
-        in
-        let nseeds = float_of_int (List.length getters) in
-        fun () ->
-          let tput =
-            List.fold_left (fun acc g -> acc +. (g ()).Sysbench.throughput) 0.0 getters
-            /. nseeds
-          in
-          let sh =
-            List.fold_left (fun acc g -> acc + (g ()).Sysbench.shootdowns) 0 getters
-          in
-          (n, tput, sh))
-      scale.sys_threads
-  in
-  (List.rev !jobs, (fun () -> List.map (fun g -> g ()) rows), !reused)
+let fig10_column memo acc ~label ~opts scale =
+  column ~points:scale.sys_threads ~seeds:scale.sys_seeds
+    ~cell:(fun ~n ~seed ->
+      sysbench_cell memo acc
+        ~label:(Printf.sprintf "%s t=%d seed=%Ld" label n seed)
+        (fig10_config scale ~opts ~threads:n ~seed))
+    ~throughput:(fun r -> r.Sysbench.throughput)
+    ~shootdowns:(fun r -> r.Sysbench.shootdowns)
+
+let fig10_plan ~memo scale =
+  speedup_plan ~name:"fig10" ~axis:"threads" ~base_header:"base ops/kcyc"
+    ~base_fmt:(Printf.sprintf "%.3f")
+    ~title:(fun ~safe ->
+      Printf.sprintf
+        "Figure 10 — Sysbench rnd-write + fdatasync speedup over baseline (%s mode; \
+         paper: up to 1.22x, batching up to 1.18x, gains fade at high thread counts)"
+        (if safe then "safe" else "unsafe"))
+    (fun acc ~label opts -> fig10_column memo acc ~label ~opts scale)
 
 (* ----- Figure 11: Apache ----- *)
 
@@ -233,109 +172,22 @@ let fig11_scale ~quick =
       ap_requests = 660;
     }
 
-let fig11_plan ~memo scale =
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let avg_cell ~tag ~opts ~n =
-    let getters =
-      List.map
-        (fun seed ->
-          let cfg = Apache.default_config ~opts:(Opts.copy opts) ~cores:n in
-          let cfg = { cfg with Apache.requests = scale.ap_requests; seed } in
-          let js, get, fresh =
-            Shard.memo_cell memo ~key:(Apache.config_key cfg)
-              ~label:(Printf.sprintf "fig11 %s c=%d seed=%Ld" tag n seed)
-              ~ops:(fun r -> r.Apache.engine_ops)
-              ~weight:(apache_weight ~cores:n ~requests:scale.ap_requests)
-              (fun () -> Apache.run cfg)
-          in
-          jobs := List.rev_append js !jobs;
-          if not fresh then incr reused;
-          get)
-        scale.ap_seeds
-    in
-    fun () ->
-      List.fold_left (fun acc g -> acc +. (g ()).Apache.throughput) 0.0 getters
-      /. float_of_int (List.length getters)
-  in
-  let sides =
-    List.map
-      (fun safe ->
-        let stacks = Opts.cumulative_workload ~safe in
-        let tag l = Printf.sprintf "%s %s" (if safe then "safe" else "unsafe") l in
-        let rows =
-          List.map
-            (fun n ->
-              let base = avg_cell ~tag:(tag "base") ~opts:(Opts.baseline ~safe) ~n in
-              let cells =
-                List.map (fun (label, opts) -> avg_cell ~tag:(tag label) ~opts ~n) stacks
-              in
-              (n, base, cells))
-            scale.ap_cores
-        in
-        (safe, List.map fst stacks, rows))
-      [ true; false ]
-  in
-  let reduce () =
-    List.iter
-      (fun (safe, stack_labels, rows) ->
-        let header = "cores" :: "base req/Mcyc" :: stack_labels in
-        let rows =
-          List.map
-            (fun (n, base, cells) ->
-              let base = base () in
-              string_of_int n
-              :: Printf.sprintf "%.2f" base
-              :: List.map (fun cellv -> Report.speedup (cellv () /. base)) cells)
-            rows
-        in
-        Report.table
-          ~title:
-            (Printf.sprintf
-               "Figure 11 — Apache mpm_event speedup over baseline (%s mode; paper: \
-                concurrent up to 1.10x, in-context up to 1.05x)"
-               (if safe then "safe" else "unsafe"))
-          ~header rows)
-      sides
-  in
-  { Shard.name = "fig11"; jobs = List.rev !jobs; reused = !reused; reduce }
+let fig11_column memo acc ~label ~opts scale =
+  column ~points:scale.ap_cores ~seeds:scale.ap_seeds
+    ~cell:(fun ~n ~seed ->
+      let cfg = Apache.default_config ~opts:(Opts.copy opts) ~cores:n in
+      apache_cell memo acc
+        ~label:(Printf.sprintf "%s c=%d seed=%Ld" label n seed)
+        { cfg with Apache.requests = scale.ap_requests; seed })
+    ~throughput:(fun r -> r.Apache.throughput)
+    ~shootdowns:(fun r -> r.Apache.shootdowns)
 
-(* One backend's fig11 column, same shape as {!fig10_backend_cells}: a
-   memoized cell per (core count, seed), reduced per core count to the
-   seed-averaged throughput and seed-summed shootdowns. *)
-let fig11_backend_cells ~memo ~tag ~opts scale =
-  let jobs = ref [] in
-  let reused = ref 0 in
-  let rows =
-    List.map
-      (fun n ->
-        let getters =
-          List.map
-            (fun seed ->
-              let cfg = Apache.default_config ~opts:(Opts.copy opts) ~cores:n in
-              let cfg = { cfg with Apache.requests = scale.ap_requests; seed } in
-              let js, get, fresh =
-                Shard.memo_cell memo ~key:(Apache.config_key cfg)
-                  ~label:(Printf.sprintf "wl-fig11 %s c=%d seed=%Ld" tag n seed)
-                  ~ops:(fun r -> r.Apache.engine_ops)
-                  ~weight:(apache_weight ~cores:n ~requests:scale.ap_requests)
-                  (fun () -> Apache.run cfg)
-              in
-              jobs := List.rev_append js !jobs;
-              if not fresh then incr reused;
-              get)
-            scale.ap_seeds
-        in
-        let nseeds = float_of_int (List.length getters) in
-        fun () ->
-          let tput =
-            List.fold_left (fun acc g -> acc +. (g ()).Apache.throughput) 0.0 getters
-            /. nseeds
-          in
-          let sh =
-            List.fold_left (fun acc g -> acc + (g ()).Apache.shootdowns) 0 getters
-          in
-          (n, tput, sh))
-      scale.ap_cores
-  in
-  (List.rev !jobs, (fun () -> List.map (fun g -> g ()) rows), !reused)
+let fig11_plan ~memo scale =
+  speedup_plan ~name:"fig11" ~axis:"cores" ~base_header:"base req/Mcyc"
+    ~base_fmt:(Printf.sprintf "%.2f")
+    ~title:(fun ~safe ->
+      Printf.sprintf
+        "Figure 11 — Apache mpm_event speedup over baseline (%s mode; paper: \
+         concurrent up to 1.10x, in-context up to 1.05x)"
+        (if safe then "safe" else "unsafe"))
+    (fun acc ~label opts -> fig11_column memo acc ~label ~opts scale)

@@ -113,13 +113,28 @@ type 'a memo = (string, unit -> 'a) Hashtbl.t
 
 let create_memo () : 'a memo = Hashtbl.create 64
 
-let memo_cell memo ~key ?label ?ops ~weight f =
+(* A plan under construction: the jobs it owns, in registration order
+   (reversed until [plan_of]), and how many memo cells it only reads. *)
+type acc = { mutable owned : job list; mutable reads : int }
+
+let acc () = { owned = []; reads = 0 }
+
+let own acc (job, get) =
+  acc.owned <- job :: acc.owned;
+  get
+
+let memo_cell acc memo ~key ?label ?ops ~weight f =
   match Hashtbl.find_opt memo key with
-  | Some get -> ([], get, false)
+  | Some get ->
+      acc.reads <- acc.reads + 1;
+      get
   | None ->
-      let job, get = cell ?label ?ops ~weight f in
+      let get = own acc (cell ?label ?ops ~weight f) in
       Hashtbl.add memo key get;
-      ([ job ], get, true)
+      get
+
+let plan_of acc ~name reduce =
+  { name; jobs = List.rev acc.owned; reused = acc.reads; reduce }
 
 type outcome = {
   out_name : string;

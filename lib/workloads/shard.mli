@@ -56,20 +56,36 @@ type 'a memo
 
 val create_memo : unit -> 'a memo
 
-(** [memo_cell memo ~key ...] is {!cell}, deduplicated on [key] (a
+(** A plan under construction: it records the jobs the plan owns and the
+    number of memo cells it only reads, as cells are registered. *)
+type acc
+
+val acc : unit -> acc
+
+(** [own acc (job, get)] attaches a {!cell} to the plan and returns its
+    getter. *)
+val own : acc -> job * (unit -> 'a) -> unit -> 'a
+
+(** [memo_cell acc memo ~key ...] is {!cell}, deduplicated on [key] (a
     workload [config_key]). The first registration of a key builds the
-    cell and returns [([job], get, true)] — the caller owns the job.
-    Later registrations return [([], get, false)]: the same getter, no
-    job, nothing to pay for. Plan construction is sequential, so
-    ownership is deterministic (first builder in plan order). *)
+    cell and [acc] owns its job; later registrations, in this plan or any
+    other on the same memo, get the same getter and count as reused.
+    Plan construction is sequential, so ownership is deterministic (first
+    builder in plan order). *)
 val memo_cell :
+  acc ->
   'a memo ->
   key:string ->
   ?label:string ->
   ?ops:('a -> int) ->
   weight:float ->
   (unit -> 'a) ->
-  job list * (unit -> 'a) * bool
+  unit ->
+  'a
+
+(** The plan: the owned jobs in registration order, the reused count and
+    [reduce]. *)
+val plan_of : acc -> name:string -> (unit -> unit) -> plan
 
 type outcome = {
   out_name : string;

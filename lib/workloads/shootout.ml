@@ -3,12 +3,12 @@
    initiator/responder latency, shootdown count, phase-latency p50s from
    the machine's metric registry (DESIGN.md §10), and cacheline traffic.
 
-   Cells are self-contained (config, seed) sim runs executed on the shared
-   Domain_pool and read back in plan order, the same contract as the bench
-   harness and `tlbsim stats`, so the report is byte-identical at any
-   [-j]. The paper backend appears twice — all optimizations and bare
-   baseline — bracketing the protocol's own headroom before the
-   alternative backends are compared against it. *)
+   The cells are planned by the [shootout] and [shootout-workloads]
+   entries of the experiment registry (experiments.ml), which both the
+   bench harness and the CLI execute; this module turns their results
+   into rows and renders them. The paper backend appears twice — all
+   optimizations and bare baseline — bracketing the protocol's own
+   headroom before the alternative backends are compared against it. *)
 
 type format = Table | Json
 
@@ -73,40 +73,6 @@ let row_of_result label protocol (r : Microbench.result) =
     sh_line_cycles = Stats.total line;
   }
 
-(* The backend cells as Shard jobs plus a plan-order row reader, for
-   embedding in a larger plan set (the bench harness owns its own
-   Shard.execute); row order is a pure function of [backends]. *)
-let plan_cells ?(pte_count = 10) ?(iterations = 200) ?(seed = 7L) () =
-  let cells =
-    List.map
-      (fun (label, opts) ->
-        let base =
-          Microbench.default_config ~opts ~placement:Microbench.Cross_socket ~pte_count
-        in
-        let config = { base with Microbench.iterations; seed; metering = true } in
-        let job, get =
-          Shard.cell
-            ~label:(Printf.sprintf "shootout/%s" label)
-            ~ops:(fun r -> r.Microbench.engine_ops)
-            ~weight:(float_of_int (iterations * pte_count))
-            (fun () -> Microbench.run config)
-        in
-        (label, opts.Opts.protocol, job, get))
-      (backends ())
-  in
-  ( List.map (fun (_, _, job, _) -> job) cells,
-    fun () ->
-      List.map (fun (label, protocol, _, get) -> row_of_result label protocol (get ())) cells
-  )
-
-let collect ?pte_count ?iterations ?seed ~jobs () =
-  let cell_jobs, get_rows = plan_cells ?pte_count ?iterations ?seed () in
-  let plan =
-    { Shard.name = "shootout"; jobs = cell_jobs; reused = 0; reduce = (fun () -> ()) }
-  in
-  let _outcomes, _gc = Shard.execute ~jobs [ plan ] in
-  get_rows ()
-
 let opt_cell = function None -> "-" | Some v -> Printf.sprintf "%.0f" v
 
 let render_table rows =
@@ -146,9 +112,6 @@ let render_json rows =
 let render format rows =
   match format with Table -> render_table rows | Json -> render_json rows
 
-let run ?pte_count ?iterations ?seed ~jobs format =
-  render format (collect ?pte_count ?iterations ?seed ~jobs ())
-
 (* ----- Cross-backend workloads: fig10 / fig11 / bigmachine-56 ----- *)
 
 (* The workload comparison drops paper-baseline (fig10/fig11 already print
@@ -171,7 +134,6 @@ type wl_row = {
   wl_throughput : float option;
   wl_cycles_per_shootdown : float option;
   wl_shootdowns : int;
-  wl_memoized : bool;
 }
 
 type wl_report = {
@@ -181,120 +143,58 @@ type wl_report = {
   wl_rows : wl_row list;
 }
 
-let workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10 ~fig11 ~quick ()
-    =
-  let jobs = ref [] in
-  let reused_total = ref 0 in
-  let add js r =
-    jobs := List.rev_append js !jobs;
-    reused_total := !reused_total + r
-  in
-  let f10_cells =
-    List.length fig10.Figures.sys_threads * List.length fig10.Figures.sys_seeds
-  in
-  let f11_cells =
-    List.length fig11.Figures.ap_cores * List.length fig11.Figures.ap_seeds
-  in
-  let f10 =
+let mean_tput cells =
+  List.fold_left (fun acc (_, t, _) -> acc +. t) 0.0 cells
+  /. float_of_int (List.length cells)
+
+let sum_shootdowns cells = List.fold_left (fun acc (_, _, s) -> acc + s) 0 cells
+
+let workload_report ~fig10 ~fig11 ~big =
+  let tput_rows name per_backend =
     List.map
-      (fun (label, opts) ->
-        let js, get, r =
-          Figures.fig10_backend_cells ~memo:sysbench_memo ~tag:label ~opts fig10
-        in
-        add js r;
-        (opts.Opts.protocol, get, r = f10_cells))
-      (workload_backends ())
+      (fun (p, cells) ->
+        {
+          wl_experiment = name;
+          wl_protocol = p;
+          wl_throughput = Some (mean_tput cells);
+          wl_cycles_per_shootdown = None;
+          wl_shootdowns = sum_shootdowns cells;
+        })
+      per_backend
   in
-  let f11 =
+  let big_rows =
     List.map
-      (fun (label, opts) ->
-        let js, get, r =
-          Figures.fig11_backend_cells ~memo:apache_memo ~tag:label ~opts fig11
-        in
-        add js r;
-        (opts.Opts.protocol, get, r = f11_cells))
-      (workload_backends ())
+      (fun (p, r) ->
+        {
+          wl_experiment = "wl-bigmachine-56";
+          wl_protocol = p;
+          wl_throughput = None;
+          wl_cycles_per_shootdown = Some r.Bigmachine.cycles_per_shootdown;
+          wl_shootdowns = r.Bigmachine.shootdowns;
+        })
+      big
   in
-  let big =
-    List.map
-      (fun (label, opts) ->
-        let cfg = Bigmachine.default_config ~opts ~n_cpus:56 in
-        let cfg = if quick then Bigmachine.quick_shape cfg else cfg in
-        let js, get, fresh =
-          Shard.memo_cell bigmachine_memo ~key:(Bigmachine.config_key cfg)
-            ~label:(Printf.sprintf "wl-bigmachine-56 %s" label)
-            ~ops:(fun r -> r.Bigmachine.engine_ops)
-            ~weight:
-              (float_of_int
-                 ((cfg.Bigmachine.tenants * cfg.Bigmachine.threads_per_tenant
-                  * cfg.Bigmachine.ops_per_thread * 40)
-                 + 5600))
-            (fun () -> Bigmachine.run cfg)
-        in
-        add js (if fresh then 0 else 1);
-        (opts.Opts.protocol, get, not fresh))
-      (workload_backends ())
-  in
-  let mean_tput cells =
-    List.fold_left (fun acc (_, t, _) -> acc +. t) 0.0 cells
-    /. float_of_int (List.length cells)
-  in
-  let sum_sh cells = List.fold_left (fun acc (_, _, s) -> acc + s) 0 cells in
-  let get () =
-    let fig10_rows = List.map (fun (p, g, _) -> (p, g ())) f10 in
-    let fig11_rows = List.map (fun (p, g, _) -> (p, g ())) f11 in
-    let big_rows = List.map (fun (p, g, _) -> (p, g ())) big in
-    let tput_rows name per_backend =
-      List.map
-        (fun (p, g, memoized) ->
-          let cells = g () in
-          {
-            wl_experiment = name;
-            wl_protocol = p;
-            wl_throughput = Some (mean_tput cells);
-            wl_cycles_per_shootdown = None;
-            wl_shootdowns = sum_sh cells;
-            wl_memoized = memoized;
-          })
-        per_backend
-    in
-    let big_gate_rows =
-      List.map
-        (fun (p, g, memoized) ->
-          let r = g () in
-          {
-            wl_experiment = "wl-bigmachine-56";
-            wl_protocol = p;
-            wl_throughput = None;
-            wl_cycles_per_shootdown = Some r.Bigmachine.cycles_per_shootdown;
-            wl_shootdowns = r.Bigmachine.shootdowns;
-            wl_memoized = memoized;
-          })
-        big
-    in
-    {
-      wl_fig10 = fig10_rows;
-      wl_fig11 = fig11_rows;
-      wl_big = big_rows;
-      wl_rows = tput_rows "wl-fig10" f10 @ tput_rows "wl-fig11" f11 @ big_gate_rows;
-    }
-  in
-  (List.rev !jobs, get, !reused_total)
+  {
+    wl_fig10 = fig10;
+    wl_fig11 = fig11;
+    wl_big = big;
+    wl_rows = tput_rows "wl-fig10" fig10 @ tput_rows "wl-fig11" fig11 @ big_rows;
+  }
 
 let json_of_wl_row r =
   let opt fmt = function None -> "null" | Some v -> Printf.sprintf fmt v in
   Printf.sprintf
     "{\"experiment\": \"%s\", \"proto\": \"%s\", \"throughput\": %s, \
-     \"cycles_per_shootdown\": %s, \"shootdowns\": %d, \"memoized\": %b}"
+     \"cycles_per_shootdown\": %s, \"shootdowns\": %d}"
     r.wl_experiment
     (Opts.protocol_label r.wl_protocol)
     (opt "%.4f" r.wl_throughput)
     (opt "%.2f" r.wl_cycles_per_shootdown)
-    r.wl_shootdowns r.wl_memoized
+    r.wl_shootdowns
 
 (* Plain-text rendition for the CLI: one table per workload family,
    backends as columns (fig10/fig11) or rows (bigmachine). *)
-let render_workloads report =
+let render_workloads_table report =
   let b = Buffer.create 2048 in
   let backend_header = List.map (fun (l, _) -> l) (workload_backends ()) in
   let tput_table ~title ~axis rows =
@@ -333,25 +233,8 @@ let render_workloads report =
     report.wl_big;
   Buffer.contents b
 
-let render_wl_json report =
-  "[\n  " ^ String.concat ",\n  " (List.map json_of_wl_row report.wl_rows) ^ "\n]\n"
-
-let run_workloads ?(quick = true) ~jobs format =
-  let sysbench_memo = Shard.create_memo () in
-  let apache_memo = Shard.create_memo () in
-  let bigmachine_memo = Shard.create_memo () in
-  let cell_jobs, get, _reused =
-    workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo
-      ~fig10:(Figures.fig10_scale ~quick) ~fig11:(Figures.fig11_scale ~quick) ~quick ()
-  in
-  let plan =
-    {
-      Shard.name = "shootout-workloads";
-      jobs = cell_jobs;
-      reused = 0;
-      reduce = (fun () -> ());
-    }
-  in
-  let _outcomes, _gc = Shard.execute ~jobs [ plan ] in
-  let report = get () in
-  match format with Table -> render_workloads report | Json -> render_wl_json report
+let render_workloads format report =
+  match format with
+  | Table -> render_workloads_table report
+  | Json ->
+      "[\n  " ^ String.concat ",\n  " (List.map json_of_wl_row report.wl_rows) ^ "\n]\n"

@@ -5,8 +5,9 @@
     comparison row each: initiator/responder latency, shootdown count,
     phase-latency p50s (DESIGN.md §10) and cacheline traffic.
 
-    Cells run through {!Shard} and are read back in plan order, so the
-    rendered report is byte-identical at any [~jobs]. *)
+    The cells are planned by the experiment registry ({!Experiments}):
+    this module names the backends, turns cell results into rows and
+    renders them. *)
 
 type format = Table | Json
 
@@ -25,26 +26,13 @@ type row = {
   sh_line_cycles : float;  (** total cycles those transfers cost *)
 }
 
-(** The backend cells as {!Shard} jobs plus a plan-order row reader (only
-    valid after the jobs executed), for embedding in a harness that owns
-    its own [Shard.execute]. Defaults: 10 PTEs, 200 iterations, seed 7. *)
-val plan_cells :
-  ?pte_count:int ->
-  ?iterations:int ->
-  ?seed:int64 ->
-  unit ->
-  Shard.job list * (unit -> row list)
+(** The compared backends, in row order: label + fresh opts per call. *)
+val backends : unit -> (string * Opts.t) list
 
-(** Run every backend's cell (sharded over [jobs] domains) and return the
-    rows in backend order. *)
-val collect :
-  ?pte_count:int -> ?iterations:int -> ?seed:int64 -> jobs:int -> unit -> row list
+(** One row from a backend's metered microbenchmark result. *)
+val row_of_result : string -> Opts.protocol -> Microbench.result -> row
 
 val render : format -> row list -> string
-
-(** {!collect} + {!render}. *)
-val run :
-  ?pte_count:int -> ?iterations:int -> ?seed:int64 -> jobs:int -> format -> string
 
 (** {2 Cross-backend workloads}
 
@@ -68,7 +56,6 @@ type wl_row = {
       (** fig10 ops/kcyc, fig11 req/Mcyc — mean over the scale's points *)
   wl_cycles_per_shootdown : float option;  (** bigmachine only *)
   wl_shootdowns : int;  (** summed over the family's cells *)
-  wl_memoized : bool;  (** every cell reused from an earlier plan *)
 }
 
 type wl_report = {
@@ -79,21 +66,11 @@ type wl_report = {
   wl_rows : wl_row list;  (** flattened summary rows, fixed plan order *)
 }
 
-(** The per-backend workload cells as {!Shard} jobs plus a plan-order
-    report reader, for embedding in a harness that owns its own memos and
-    [Shard.execute]; also returns the total reused-cell count. *)
-val workload_cells :
-  sysbench_memo:Sysbench.result Shard.memo ->
-  apache_memo:Apache.result Shard.memo ->
-  bigmachine_memo:Bigmachine.result Shard.memo ->
-  fig10:Figures.fig10_scale ->
-  fig11:Figures.fig11_scale ->
-  quick:bool ->
-  unit ->
-  Shard.job list * (unit -> wl_report) * int
+(** Assemble the report from per-backend columns, in backend order. *)
+val workload_report :
+  fig10:(Opts.protocol * (int * float * int) list) list ->
+  fig11:(Opts.protocol * (int * float * int) list) list ->
+  big:(Opts.protocol * Bigmachine.result) list ->
+  wl_report
 
-val render_workloads : wl_report -> string
-
-(** Standalone run on fresh memos (the `tlbsim shootout --workloads`
-    path), sharded over [jobs] domains; byte-identical at any [~jobs]. *)
-val run_workloads : ?quick:bool -> jobs:int -> format -> string
+val render_workloads : format -> wl_report -> string

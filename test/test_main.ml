@@ -21,6 +21,7 @@ let () =
       ("coverage", Test_coverage.suite);
       ("determinism", Test_determinism.suite);
       ("protocols", Test_protocols.suite);
+      ("experiments", Test_experiments.suite);
       ("fuzz", Test_fuzz.suite);
       ("properties", Test_props.suite);
     ]

@@ -41,17 +41,18 @@ let test_memo_cells_not_shared_across_protocols () =
   let memo = Shard.create_memo () in
   let register protocol =
     let config = micro_config protocol in
-    let jobs, _get, owned =
-      Shard.memo_cell memo ~key:(Microbench.config_key config) ~weight:1.0 (fun () ->
+    let acc = Shard.acc () in
+    let (_ : unit -> Microbench.result) =
+      Shard.memo_cell acc memo ~key:(Microbench.config_key config) ~weight:1.0 (fun () ->
           Microbench.run config)
     in
-    (List.length jobs, owned)
+    let plan = Shard.plan_of acc ~name:"t" ignore in
+    (List.length plan.Shard.jobs, plan.Shard.reused)
   in
-  check (Alcotest.pair int_t bool_t) "paper owns its cell" (1, true)
-    (register Opts.Paper);
-  check (Alcotest.pair int_t bool_t) "queue-spin owns a distinct cell" (1, true)
+  check (Alcotest.pair int_t int_t) "paper owns its cell" (1, 0) (register Opts.Paper);
+  check (Alcotest.pair int_t int_t) "queue-spin owns a distinct cell" (1, 0)
     (register Opts.Queue_spin);
-  check (Alcotest.pair int_t bool_t) "re-registering paper reuses it" (0, false)
+  check (Alcotest.pair int_t int_t) "re-registering paper reuses it" (0, 1)
     (register Opts.Paper)
 
 (* ---------- backend-observable flush semantics ---------- *)
@@ -250,45 +251,44 @@ let test_queue_resend_only_unacked () =
 
 (* ---------- cross-backend workload cells ---------- *)
 
-(* Planned after fig10_plan/fig11_plan and the bench's 56-CPU cell on the
-   same memos, the paper backend's workload cells must all be reused —
-   [Opts.all ~safe:true] is value-identical to the figures' final
-   "+batching" stack and to the bench bigmachine config — while the other
-   three backends own every one of theirs. *)
+(* Planned in the registry's `all` order, the paper backend's workload
+   cells must all be reused — [Opts.all ~safe:true] is value-identical to
+   the figures' final "+batching" stack and to the bigmachine entry's
+   config — while the other three backends own every one of theirs. *)
 let test_paper_workload_cells_reused () =
-  let sysbench_memo = Shard.create_memo () in
-  let apache_memo = Shard.create_memo () in
-  let bigmachine_memo = Shard.create_memo () in
+  let ctx = Experiments.context ~quick:true () in
+  let plans =
+    List.map
+      (fun e -> (e.Experiments.name, fst (e.Experiments.build ctx)))
+      Experiments.registry
+  in
+  let plan = List.assoc "shootout-workloads" plans in
   let fig10 = Figures.fig10_scale ~quick:true in
   let fig11 = Figures.fig11_scale ~quick:true in
-  let (_ : Shard.plan) = Figures.fig10_plan ~memo:sysbench_memo fig10 in
-  let (_ : Shard.plan) = Figures.fig11_plan ~memo:apache_memo fig11 in
-  let cfg =
-    Bigmachine.quick_shape
-      (Bigmachine.default_config ~opts:(Opts.all ~safe:true) ~n_cpus:56)
-  in
-  let _js, _get, owned =
-    Shard.memo_cell bigmachine_memo ~key:(Bigmachine.config_key cfg) ~weight:1.0
-      (fun () -> Bigmachine.run cfg)
-  in
-  check bool_t "the bench registration owns the 56-CPU cell" true owned;
   let f10 =
     List.length fig10.Figures.sys_threads * List.length fig10.Figures.sys_seeds
   in
   let f11 =
     List.length fig11.Figures.ap_cores * List.length fig11.Figures.ap_seeds
   in
-  let jobs, _get, reused =
-    Shootout.workload_cells ~sysbench_memo ~apache_memo ~bigmachine_memo ~fig10
-      ~fig11 ~quick:true ()
-  in
-  check int_t "every paper cell reused from the earlier plans" (f10 + f11 + 1) reused;
+  check int_t "every paper cell reused from the earlier plans" (f10 + f11 + 1)
+    plan.Shard.reused;
   check int_t "the other three backends own all their cells"
     (3 * (f10 + f11 + 1))
-    (List.length jobs)
+    (List.length plan.Shard.jobs)
+
+(* Plan one registry builder on a fresh context, execute it on [jobs]
+   domains, and render its typed result as the CLI does. *)
+let execute ~jobs (plan, get) =
+  ignore (Shard.execute ~jobs [ plan ] : Shard.outcome list * Domain_pool.gc_totals);
+  get ()
 
 let test_workloads_identical_at_any_j () =
-  let run jobs = Shootout.run_workloads ~quick:true ~jobs Shootout.Table in
+  let run jobs =
+    Shootout.render_workloads Shootout.Table
+      (execute ~jobs
+         (Experiments.shootout_workloads (Experiments.context ~quick:true ())))
+  in
   let j1 = run 1 in
   check bool_t "-j2 byte-identical to -j1" true (String.equal j1 (run 2));
   check bool_t "-j4 byte-identical to -j1" true (String.equal j1 (run 4))
@@ -296,7 +296,12 @@ let test_workloads_identical_at_any_j () =
 (* ---------- shootout determinism ---------- *)
 
 let test_shootout_identical_at_any_j () =
-  let run jobs = Shootout.run ~iterations:30 ~jobs Shootout.Table in
+  let run jobs =
+    Shootout.render Shootout.Table
+      (execute ~jobs
+         (Experiments.shootout
+            (Experiments.context ~shootout_iterations:30 ~quick:false ())))
+  in
   let j1 = run 1 in
   check bool_t "report lists every backend" true
     (List.for_all

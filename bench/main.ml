@@ -6,12 +6,11 @@
      dune exec bench/main.exe -- quick   -- everything, reduced iterations
      dune exec bench/main.exe -- all -j 4 -- sim runs on 4 domains
      dune exec bench/main.exe -- perf    -- wall-clock harness (BENCH_PERF.json)
-     dune exec bench/main.exe -- bechamel -- harness self-measurement
 
    Every experiment is an entry of the registry in
    lib/workloads/experiments.ml, the one place an experiment is defined:
    its name, its group (figs5-8, ablation) and its plan. This file parses
-   arguments, runs the selected entries, and holds perf and bechamel.
+   arguments, runs the selected entries, and holds perf.
    Simulated cycle counts are printed; EXPERIMENTS.md compares them to the
    paper's numbers.
 
@@ -24,9 +23,10 @@
    in experiment order, so stdout is byte-identical for every `-j` by
    construction and the wall-clock bound is the slowest single cell, not
    the slowest experiment. `-j 1` spawns no domains. `-j 0` asks the
-   runtime for a domain count. Expected scaling: the full bench is
-   embarrassingly parallel past the plan phase, so wall-clock approaches
-   (sum of cell costs) / N until the slowest fig10 cell dominates.
+   runtime for a domain count; a negative count is a usage error.
+   Expected scaling: the full bench is embarrassingly parallel past the
+   plan phase, so wall-clock approaches (sum of cell costs) / N until the
+   slowest fig10 cell dominates.
    Per-experiment elapsed-time lines go to stderr (per-cell lines with
    -v) so stdout stays comparable across runs and `-j` levels. One
    registry context (its cell memos) spans the whole invocation, so a
@@ -42,70 +42,6 @@
    engine_ops null — an explicit n/a, never a misleading 0. Each entry's
    extra BENCH_PERF.json rows (lib/perf_row/perf_row.ml) come from the
    registry, read from the same cell getters as its reduce. *)
-
-(* ----- Bechamel: wall-clock self-measurement of the harness ----- *)
-
-let bechamel ~quick =
-  let open Bechamel in
-  let micro_test =
-    Test.make ~name:"figs5-8:microbench-cell"
-      (Staged.stage (fun () ->
-           let cfg =
-             Microbench.default_config
-               ~opts:(Opts.all_general ~safe:true)
-               ~placement:Microbench.Cross_socket ~pte_count:10
-           in
-           ignore
-             (Microbench.run
-                {
-                  cfg with
-                  Microbench.iterations = Experiments.micro_iterations ~quick;
-                  warmup = 20;
-                })))
-  in
-  let cow_test =
-    Test.make ~name:"fig9:cow-bench"
-      (Staged.stage (fun () ->
-           let cfg = Cow_bench.default_config ~opts:(Opts.all ~safe:true) in
-           ignore (Cow_bench.run { cfg with Cow_bench.rounds = 2; pages_per_round = 16 })))
-  in
-  let sysbench_test =
-    Test.make ~name:"fig10:sysbench-point"
-      (Staged.stage (fun () ->
-           let cfg = Sysbench.default_config ~opts:(Opts.all ~safe:true) ~threads:4 in
-           ignore
-             (Sysbench.run { cfg with Sysbench.ops_per_thread = 40; file_pages = 128 })))
-  in
-  let apache_test =
-    Test.make ~name:"fig11:apache-point"
-      (Staged.stage (fun () ->
-           let cfg = Apache.default_config ~opts:(Opts.all ~safe:true) ~cores:4 in
-           ignore (Apache.run { cfg with Apache.requests = 60 })))
-  in
-  let fracture_test =
-    Test.make ~name:"table4:fracture-row"
-      (Staged.stage (fun () ->
-           ignore
-             (Fracture.run_shape
-                { Fracture.working_set_pages = 256; rounds = 10; tlb_capacity = 1536 }
-                (List.hd Fracture.table4_rows))))
-  in
-  let test =
-    Test.make_grouped ~name:"shootdown-repro"
-      [ micro_test; cow_test; sysbench_test; apache_test; fracture_test ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 1.0) () in
-  let raw = Benchmark.all cfg instances test in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  print_endline "\n== Bechamel: harness wall-clock (ns per run) ==";
-  Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.iter (fun (name, ols) ->
-         match Analyze.OLS.estimates ols with
-         | Some [ est ] -> Printf.printf "  %-32s %12.0f ns/run\n" name est
-         | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
 
 (* ----- driver: registry entries, sharded over the domain pool ----- *)
 
@@ -128,32 +64,6 @@ let run_entries ~verbose ~jobs ctx entries =
     outcomes
 
 (* ----- perf: wall-clock harness, BENCH_PERF.json ----- *)
-
-(* Per-phase shootdown latency percentiles from a small metered Observe
-   sweep, run after the (unmetered) experiments so their timing rows are
-   untouched. *)
-let phases_rows ~quick ~jobs =
-  let metrics = Observe.collect ~iterations:(if quick then 50 else 200) ~jobs () in
-  List.filter_map
-    (fun s ->
-      let st = Metrics.stats s in
-      if Stats.count st = 0 then None
-      else
-        let labels =
-          Metrics.series_labels s
-          |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v)
-          |> String.concat ","
-        in
-        let key =
-          if String.equal labels "" then Metrics.series_name s
-          else Printf.sprintf "%s{%s}" (Metrics.series_name s) labels
-        in
-        let pct p = Option.value (Stats.percentile_opt st p) ~default:0.0 in
-        Some
-          Perf_row.(
-            row "phases" key
-              [ int "count" (Stats.count st); float "p50" (pct 50.0); float "p99" (pct 99.0) ]))
-    (Metrics.all metrics)
 
 let perf ~quick ~verbose ~jobs ctx =
   let t0 = Unix.gettimeofday () in
@@ -204,17 +114,15 @@ let perf ~quick ~verbose ~jobs ctx =
       (fun acc o -> acc + Option.value o.Shard.out_measure.Shard.engine_ops ~default:0)
       0 outcomes
   in
-  (* Process-lifetime GC totals: after the pool's domains are joined their
-     counters have folded into this domain's, so a plain quick_stat here
-     sums every domain — the cross-domain aggregate perf mode reports. *)
+  (* Process-lifetime GC totals: quick_stat reports the whole program (every
+     domain, live or joined) — the cross-domain aggregate perf mode reports. *)
   let gc = Gc.quick_stat () in
-  let phases = phases_rows ~quick ~jobs in
   let pg = pool_gc in
   Perf_row.(
     write "BENCH_PERF.json"
       ~mode:(if quick then "quick" else "full")
       (List.map experiment outcomes
-      @ phases @ entry_rows ()
+      @ entry_rows ()
       @ [
           row "total" "run"
             [
@@ -246,7 +154,7 @@ let perf ~quick ~verbose ~jobs ctx =
     total_wall elapsed jobs (List.length outcomes)
 
 let usage () =
-  let commands = Experiments.names @ Experiments.groups @ [ "perf"; "bechamel" ] in
+  let commands = Experiments.names @ Experiments.groups @ [ "perf" ] in
   Printf.eprintf "usage: main.exe [quick] [-v] [-j N] [%s]\n" (String.concat " | " commands);
   exit 2
 
@@ -254,6 +162,13 @@ let () =
   let quick = ref false in
   let verbose = ref false in
   let jobs = ref 1 in
+  let set_jobs n =
+    match int_of_string_opt n with
+    | Some n when n >= 0 -> jobs := n
+    | _ ->
+        Printf.eprintf "-j needs a non-negative worker count, got %S\n" n;
+        exit 2
+  in
   let rec parse acc = function
     | [] -> List.rev acc
     | ("quick" | "--quick") :: rest ->
@@ -262,24 +177,20 @@ let () =
     | ("-v" | "--verbose") :: rest ->
         verbose := true;
         parse acc rest
-    | ("-j" | "--jobs") :: n :: rest when Option.is_some (int_of_string_opt n) ->
-        jobs := int_of_string n;
+    | ("-j" | "--jobs") :: n :: rest ->
+        set_jobs n;
         parse acc rest
     | [ ("-j" | "--jobs") ] ->
         Printf.eprintf "-j needs a worker count\n";
         exit 2
-    | arg :: rest
-      when String.length arg > 2
-           && String.equal (String.sub arg 0 2) "-j"
-           && Option.is_some (int_of_string_opt (String.sub arg 2 (String.length arg - 2)))
-      ->
-        jobs := int_of_string (String.sub arg 2 (String.length arg - 2));
+    | arg :: rest when String.length arg > 2 && String.equal (String.sub arg 0 2) "-j" ->
+        set_jobs (String.sub arg 2 (String.length arg - 2));
         parse acc rest
     | arg :: rest -> parse (arg :: acc) rest
   in
   let cmds = parse [] (List.tl (Array.to_list Sys.argv)) in
   let quick = !quick and verbose = !verbose in
-  let jobs = if !jobs <= 0 then Domain_pool.default_jobs () else !jobs in
+  let jobs = if !jobs = 0 then Domain_pool.default_jobs () else !jobs in
   (* The main domain gets the same allocation-storm GC relief as the pool's
      workers; tuning affects wall-clock only, never simulated results. *)
   Domain_pool.tune_current_domain ();
@@ -290,7 +201,6 @@ let () =
       | Some entries -> run_entries ~verbose ~jobs ctx entries
       | None -> (
           match cmd with
-          | "bechamel" -> bechamel ~quick
           | "perf" -> perf ~quick ~verbose ~jobs ctx
           | other ->
               Printf.eprintf "unknown experiment %S\n" other;

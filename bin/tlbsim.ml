@@ -74,6 +74,29 @@ let seed_t =
   let doc = "Deterministic RNG seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~doc)
 
+(* A negative count is a usage error (exit 124), never a silent clamp. *)
+let jobs_t =
+  let doc =
+    "Worker domains (0 = ask the runtime). Output is byte-identical at any value."
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | Some _ -> Error (`Msg "must be non-negative (0 asks the runtime)")
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
+  in
+  let resolve = function 0 -> Domain_pool.default_jobs () | n -> n in
+  Term.(
+    const resolve
+    $ Arg.(value & opt (conv (parse, Format.pp_print_int)) 1 & info [ "j"; "jobs" ] ~doc))
+
+(* Plan one registry entry's builder, execute it on [jobs] domains and
+   return its typed result; the bench table its reduce prints is captured
+   by [Shard.execute] and dropped. *)
+let run_entry ~jobs (plan, get) =
+  ignore (Shard.execute ~jobs [ plan ] : Shard.outcome list * Domain_pool.gc_totals);
+  get ()
+
 let make_opts ~safe spec =
   match spec with
   | `None -> Opts.baseline ~safe
@@ -259,13 +282,6 @@ let analyze_cmd =
   let rounds_t =
     Arg.(value & opt int 40 & info [ "rounds" ] ~doc:"madvise rounds in the traced scenario.")
   in
-  let jobs_t =
-    let doc =
-      "Domains for the $(b,--explore) sweep (one scenario per task; 0 = ask the \
-       runtime). Output is identical at every job count."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
-  in
   let general_flags = List.filteri (fun i _ -> i < 4) opt_names in
   let protocol_t =
     let doc =
@@ -329,7 +345,6 @@ let analyze_cmd =
                 (label, o)))
           protocols
       in
-      let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
       let results =
         Explorer.explore_set ~jobs
           (List.map
@@ -394,10 +409,6 @@ let fuzz_cmd =
   let no_shrink_t =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failures without ddmin shrinking.")
   in
-  let jobs_t =
-    let doc = "Domains to shard seeds over (0 = ask the runtime)." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
-  in
   let run count seed_base seed_one replay inject_bug max_ops no_shrink jobs =
     let shrink = not no_shrink in
     match seed_one with
@@ -417,7 +428,6 @@ let fuzz_cmd =
             Format.printf "%a@." Fuzz.pp_failure f;
             exit 1)
     | None ->
-        let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
         let report =
           Fuzz.run_seeds ~seed_base ~count ~jobs ~max_ops ~inject_bug ~shrink ()
         in
@@ -445,13 +455,6 @@ let shootout_cmd =
     let alist = [ ("table", Shootout.Table); ("json", Shootout.Json) ] in
     Arg.(value & opt (enum alist) Shootout.Table & info [ "format" ] ~doc)
   in
-  let jobs_t =
-    let doc =
-      "Domains to shard backend cells over (0 = ask the runtime); output is \
-       byte-identical at any value."
-    in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
-  in
   let workloads_t =
     let doc =
       "Compare the backends on the paper's workload evaluation instead of the \
@@ -461,26 +464,17 @@ let shootout_cmd =
     Arg.(value & flag & info [ "workloads" ] ~doc)
   in
   let run format ptes iterations seed jobs workloads =
-    let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
-    (* Plan the registry's entry on a fresh context, execute it, and render
-       its typed result; the bench table its reduce prints is captured by
-       [Shard.execute] and dropped. *)
-    let execute (plan, get) =
-      ignore (Shard.execute ~jobs [ plan ] : Shard.outcome list * Domain_pool.gc_totals);
-      get ()
-    in
-    if workloads then begin
-      let ctx = Experiments.context ~quick:true () in
-      print_string
-        (Shootout.render_workloads format (execute (Experiments.shootout_workloads ctx)))
-    end
-    else
-      print_string
-        (Shootout.render format
-           (execute
+    print_string
+      (if workloads then
+         Shootout.render_workloads format
+           (run_entry ~jobs
+              (Experiments.shootout_workloads (Experiments.context ~quick:true ())))
+       else
+         Shootout.render format
+           (run_entry ~jobs
               (Experiments.shootout
-                 (Experiments.context ~shootout_ptes:ptes ~shootout_iterations:iterations
-                    ~shootout_seed:(Int64.of_int seed) ~quick:false ()))))
+                 (Experiments.context ~ptes ~iterations ~seed:(Int64.of_int seed)
+                    ~quick:false ()))))
   in
   Cmd.v
     (Cmd.info "shootout"
@@ -497,20 +491,20 @@ let shootout_cmd =
 let stats_cmd =
   let format_t =
     let doc = "Output format: table, json, or prom (Prometheus text exposition)." in
-    let alist =
-      [ ("table", Observe.Table); ("json", Observe.Json); ("prom", Observe.Prometheus) ]
-    in
-    Arg.(value & opt (enum alist) Observe.Table & info [ "format" ] ~doc)
-  in
-  let jobs_t =
-    let doc = "Domains to shard the sweep over (0 = ask the runtime); output is \
-               byte-identical at any value." in
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc)
+    let alist = [ ("table", `Table); ("json", `Json); ("prom", `Prom) ] in
+    Arg.(value & opt (enum alist) `Table & info [ "format" ] ~doc)
   in
   let run format iterations seed jobs =
-    let jobs = if jobs <= 0 then Domain_pool.default_jobs () else jobs in
+    let metrics =
+      run_entry ~jobs
+        (Experiments.stats
+           (Experiments.context ~iterations ~seed:(Int64.of_int seed) ~quick:false ()))
+    in
     print_string
-      (Observe.run ~iterations ~seed:(Int64.of_int seed) ~jobs format)
+      (match format with
+      | `Table -> Format.asprintf "%a" Metrics.pp_table metrics
+      | `Json -> Metrics.to_json metrics
+      | `Prom -> Metrics.to_prometheus metrics)
   in
   Cmd.v
     (Cmd.info "stats"

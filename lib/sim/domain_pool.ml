@@ -44,25 +44,33 @@ let add_gc_totals a b =
     pool_major_collections = a.pool_major_collections + b.pool_major_collections;
   }
 
-(* GC deltas are measured per worker domain: in OCaml 5 [Gc.quick_stat]'s
-   allocation counters are domain-local while a domain is alive (a child's
-   counters fold into its parent only at [Domain.join]), so sampling before
-   and after a worker's stint and summing the deltas gives the true
-   cross-domain total — and the caller's own sample must be taken *before*
-   joining the children or it would double-count them. *)
-let gc_delta_around f =
-  let s0 = Gc.quick_stat () in
-  let finally () = f (Gc.quick_stat ()) s0 in
-  finally
+(* Word counts are measured per worker domain: [Gc.counters] and
+   [Gc.minor_words] read the calling domain's own counters, so sampling
+   before and after each domain's stint and summing the deltas counts
+   every word once. ([Gc.quick_stat] reports the whole program's words —
+   summing it per domain would count each word once per live domain.)
+   Collections are stop-the-world events the runtime counts program-wide,
+   so they are one [quick_stat] delta around the whole call. *)
+let words_around () =
+  let mi0, pr0, ma0 = Gc.counters () in
+  fun () ->
+    let mi1, pr1, ma1 = Gc.counters () in
+    {
+      zero_gc_totals with
+      pool_minor_words = mi1 -. mi0;
+      pool_major_words = ma1 -. ma0;
+      pool_promoted_words = pr1 -. pr0;
+    }
 
-let gc_delta s1 (s0 : Gc.stat) =
-  {
-    pool_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
-    pool_major_words = s1.Gc.major_words -. s0.Gc.major_words;
-    pool_promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-    pool_minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
-    pool_major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
-  }
+let collections_around () =
+  let s0 = Gc.quick_stat () in
+  fun words ->
+    let s1 = Gc.quick_stat () in
+    {
+      words with
+      pool_minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
+      pool_major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
+    }
 
 (* fig10-class workloads allocate ~10⁹ minor words per run; the default
    256k-word minor heap turns that into tens of thousands of minor
@@ -118,17 +126,18 @@ let run_parallel ~jobs ~order ~chunk ~tune_gc tasks =
   let spawn k =
     Domain.spawn (fun () ->
         if tune_gc then tune_current_domain ();
-        let finish = gc_delta_around (fun s1 s0 -> worker_gc.(k + 1) <- gc_delta s1 s0) in
+        let finish = words_around () in
         worker ();
-        finish ())
+        worker_gc.(k + 1) <- finish ())
   in
+  let collections = collections_around () in
   (* The calling domain is one of the workers; spawn the rest. *)
   let domains = Array.init spawned spawn in
-  let finish = gc_delta_around (fun s1 s0 -> worker_gc.(0) <- gc_delta s1 s0) in
+  let finish = words_around () in
   worker ();
-  finish ();
+  worker_gc.(0) <- finish ();
   Array.iter Domain.join domains;
-  let gc = Array.fold_left add_gc_totals zero_gc_totals worker_gc in
+  let gc = collections (Array.fold_left add_gc_totals zero_gc_totals worker_gc) in
   ( Array.map
       (function
         | Some (Value v) -> v
@@ -148,13 +157,10 @@ let run ~jobs ?weights ?(chunk = 1) ?(tune_gc = false) ?gc_totals
     (* Inline sequential execution: no domains are spawned, so [jobs = 1]
        behaves exactly like a plain loop (same exception propagation, same
        evaluation order) — the parallel runner's byte-identical baseline. *)
-    let finish =
-      match gc_totals with
-      | None -> ignore
-      | Some cell -> gc_delta_around (fun s1 s0 -> cell := gc_delta s1 s0)
-    in
+    let collections = collections_around () in
+    let finish = words_around () in
     let results = Array.map (fun f -> f ()) tasks in
-    finish ();
+    Option.iter (fun cell -> cell := collections (finish ())) gc_totals;
     results
   end
   else begin

@@ -4,10 +4,10 @@
     builds its own {!Engine.t} and machines), so running them on separate
     domains is safe as long as they share no mutable state. *)
 
-(** Summed GC activity of every worker domain across one {!run} call.
-    Counters are sampled per domain ([Gc.quick_stat] allocation counters
-    are domain-local while a domain lives) and added, so the total covers
-    all domains — the figure a perf harness should report. *)
+(** GC activity of one {!run} call across every worker domain. Word
+    counts are per-domain [Gc.counters] deltas, summed, so each word is
+    counted once; collection counts are program-wide (collections stop
+    every domain) and sampled once around the call. *)
 type gc_totals = {
   pool_minor_words : float;
   pool_major_words : float;
@@ -43,9 +43,8 @@ val add_gc_totals : gc_totals -> gc_totals -> gc_totals
     the calling domain's parameters are never touched. GC tuning cannot
     change simulated results, only wall-clock and memory.
 
-    [gc_totals], when given, receives the summed per-domain GC deltas for
-    this call (caller's stint included, children sampled before join so
-    nothing is double-counted).
+    [gc_totals], when given, receives this call's GC activity (caller's
+    stint included; see {!gc_totals}).
 
     If a task raises, the parallel runner still completes the remaining
     tasks, then re-raises the first (lowest-index) exception with its

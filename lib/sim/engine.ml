@@ -46,15 +46,12 @@ let key_time k = k lsr seq_bits
 
 (* Event rows: [stride] ints per event, addressed by base offset. *)
 let f_key = 0 (* packed (time, seq) priority *)
-let f_tag = 1 (* >= 0: handler-table index; -1: closure (f_b = registry slot); -2: cancelled *)
+let f_tag = 1 (* >= 0: handler-table index; -1: closure (f_b = registry slot) *)
 let f_a = 2 (* first unboxed handler argument *)
 let f_b = 3 (* second unboxed handler argument, or closure-registry slot *)
-let f_gen = 4 (* bumped on release; stamps [handle]s against row reuse *)
-let f_next = 5 (* intrusive FIFO / free-list link: base offset, [nil] = end *)
-let stride = 6
+let f_next = 4 (* intrusive FIFO / free-list link: base offset, [nil] = end *)
+let stride = 5
 let nil = -1
-
-type handle = { h_base : int; h_gen : int }
 
 (* Near-future events live in a calendar ring: slot [time land (ring_size -
    1)] holds the FIFO of events at that exact time. An event is ring-eligible
@@ -142,7 +139,6 @@ let advances t = t.advances
    (deltas only mean something when one experiment runs at a time) and
    reports 0 for experiments that reuse memoized results. *)
 let ops t = t.events_run + t.advances
-let pending t = t.size + t.ring_count
 let current_name t = t.cur_name
 let set_current_name t name = t.cur_name <- name
 
@@ -178,12 +174,9 @@ let alloc t ~key ~tag ~a ~b =
   Array.unsafe_set s (base + f_next) nil;
   base
 
-(* Return a row to the free list. The [gen] bump invalidates any
-   outstanding [handle] to this row. *)
+(* Return a row to the free list. *)
 let release t base =
-  let s = t.store in
-  Array.unsafe_set s (base + f_gen) (Array.unsafe_get s (base + f_gen) + 1);
-  Array.unsafe_set s (base + f_next) t.free;
+  Array.unsafe_set t.store (base + f_next) t.free;
   t.free <- base
 
 (* ----- closure registry -----
@@ -456,12 +449,17 @@ let renumber t =
 
 (* ----- scheduling ----- *)
 
-let fresh_key t ~time =
-  if time < t.now then
+(* The fire time [delay] cycles from now, checked: [delay <= max_time -
+   now] (overflow-safe: both sides are non-negative ints) keeps the time
+   inside the packed key's time field. *)
+let fire_time t ~caller ~delay =
+  if delay < 0 then invalid_arg (caller ^ ": negative delay");
+  if delay > max_time - t.now then
     invalid_arg
-      (Printf.sprintf "Engine.schedule_at: time %d is before now %d" time t.now);
-  if time > max_time then
-    invalid_arg (Printf.sprintf "Engine.schedule_at: time %d overflows the clock" time);
+      (Printf.sprintf "%s: delay %d from time %d overflows the clock" caller delay t.now);
+  t.now + delay
+
+let fresh_key t ~time =
   if t.seq >= seq_mask then renumber t;
   let key = (time lsl seq_bits) lor t.seq in
   t.seq <- t.seq + 1;
@@ -472,48 +470,17 @@ let enqueue t ~time ev =
   | None when time - t.now < ring_size -> ring_append t ~time ev
   | _ -> push t ev
 
-let schedule_at t ~time run =
+let schedule t ~delay run =
+  let time = fire_time t ~caller:"Engine.schedule" ~delay in
   let key = fresh_key t ~time in
   enqueue t ~time (alloc t ~key ~tag:(-1) ~a:0 ~b:(cls_alloc t run))
 
-let schedule t ~delay run =
-  if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~time:(t.now + delay) run
-
-let schedule_tag_at t ~time ~tag ~a ~b =
+let schedule_tag t ~delay ~tag ~a ~b =
+  let time = fire_time t ~caller:"Engine.schedule_tag" ~delay in
   if tag < 0 || tag >= t.n_handlers then
     invalid_arg "Engine.schedule_tag: unregistered tag";
   let key = fresh_key t ~time in
   enqueue t ~time (alloc t ~key ~tag ~a ~b)
-
-let schedule_tag t ~delay ~tag ~a ~b =
-  if delay < 0 then invalid_arg "Engine.schedule_tag: negative delay";
-  schedule_tag_at t ~time:(t.now + delay) ~tag ~a ~b
-
-let schedule_cancellable t ~delay run =
-  if delay < 0 then invalid_arg "Engine.schedule_cancellable: negative delay";
-  let time = t.now + delay in
-  let key = fresh_key t ~time in
-  let ev = alloc t ~key ~tag:(-1) ~a:0 ~b:(cls_alloc t run) in
-  enqueue t ~time ev;
-  { h_base = ev; h_gen = t.store.(ev + f_gen) }
-
-(* A cancelled event keeps its queue slot (timing of everything else is
-   unchanged) but fires as a no-op and is recycled when popped. Stale
-   handles — the event already fired, or fired and its row was recycled —
-   are detected by the generation stamp and refused. *)
-let cancel t h =
-  let base = h.h_base in
-  if t.store.(base + f_gen) <> h.h_gen || t.store.(base + f_tag) = -2 then false
-  else begin
-    (match t.store.(base + f_tag) with
-    | -1 ->
-        let (_ : unit -> unit) = cls_take t t.store.(base + f_b) in
-        ()
-    | _ -> ());
-    t.store.(base + f_tag) <- -2;
-    true
-  end
 
 (* Fast path for Process.delay: advance the clock without a suspend when no
    pending event falls inside the window (strictly — an event at exactly
@@ -525,7 +492,7 @@ let try_advance t ~cycles =
       if cycles < 0 then invalid_arg "Engine.try_advance: negative cycles";
       (* [cycles <= max_time - t.now] (overflow-safe: both sides are
          non-negative ints) keeps [now] inside the packed key's time field.
-         Past that, decline the fast path so the slow path's [schedule_at]
+         Past that, decline the fast path so the slow path's schedule
          reports the clock overflow instead of [now] silently wrapping into
          the seq bits. *)
       if cycles <= max_time - t.now && peek_time t > t.now + cycles then begin
@@ -537,23 +504,15 @@ let try_advance t ~cycles =
 
 (* Run one popped event and recycle its row. The release happens before
    the callback runs: the row is already unlinked from every queue, so the
-   callback is free to schedule (and immediately reuse the row). A
-   cancelled event recycles without running or counting. *)
+   callback is free to schedule (and immediately reuse the row). *)
 let dispatch t base =
   let s = t.store in
   let tag = Array.unsafe_get s (base + f_tag) in
   let a = Array.unsafe_get s (base + f_a) in
   let b = Array.unsafe_get s (base + f_b) in
   release t base;
-  if tag >= 0 then begin
-    t.events_run <- t.events_run + 1;
-    (Array.unsafe_get t.handlers tag) a b
-  end
-  else if tag = -1 then begin
-    let f = cls_take t b in
-    t.events_run <- t.events_run + 1;
-    f ()
-  end
+  t.events_run <- t.events_run + 1;
+  if tag >= 0 then (Array.unsafe_get t.handlers tag) a b else (cls_take t b) ()
 
 (* With a chooser installed, every set of events falling inside the
    concurrency horizon is a scheduling decision point: the chooser picks
@@ -657,12 +616,3 @@ let run t =
           end
         end
   done
-
-let run_until t ~time =
-  if time > max_time then
-    invalid_arg (Printf.sprintf "Engine.run_until: time %d overflows the clock" time);
-  let continue = ref true in
-  while !continue do
-    if peek_time t > time then continue := false else ignore (step t)
-  done;
-  if t.now < time && t.ring_count = 0 && t.size = 0 then t.now <- time

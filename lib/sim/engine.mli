@@ -17,7 +17,7 @@ val create : unit -> t
 val now : t -> int
 
 (** Largest representable simulated time ([2^38 - 1] cycles with the
-    current packing). [schedule]/[schedule_at] reject later times, and the
+    current packing). [schedule]/[schedule_tag] reject later times, and the
     [try_advance] fast path declines to move [now] past it, so the packed
     key's time field can never wrap into the sequence bits. *)
 val max_time : int
@@ -36,13 +36,10 @@ val advances : t -> int
     report 0 for experiments that reuse memoized results. *)
 val ops : t -> int
 
-(** [schedule t ~delay f] runs [f] at [now t + delay]. [delay] must be
-    non-negative. *)
+(** [schedule t ~delay f] runs [f] at [now t + delay]. Raises
+    [Invalid_argument] on a negative delay or one that would move past
+    {!max_time}. *)
 val schedule : t -> delay:int -> (unit -> unit) -> unit
-
-(** [schedule_at t ~time f] runs [f] at absolute [time]; raises
-    [Invalid_argument] if [time] is in the past. *)
-val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
 (** {2 Tagged dispatch}
 
@@ -66,31 +63,9 @@ val release_handler : t -> int -> unit
 
 (** [schedule_tag t ~delay ~tag ~a ~b] runs [handler a b] at
     [now t + delay], where [handler] is the function registered under
-    [tag]. Raises [Invalid_argument] on a negative delay or a tag that was
-    never registered. Allocation-free at steady state. *)
+    [tag]. Raises [Invalid_argument] as [schedule] does, or on a tag that
+    was never registered. Allocation-free at steady state. *)
 val schedule_tag : t -> delay:int -> tag:int -> a:int -> b:int -> unit
-
-(** [schedule_tag_at] is [schedule_tag] with an absolute time. *)
-val schedule_tag_at : t -> time:int -> tag:int -> a:int -> b:int -> unit
-
-(** {2 Cancellation} *)
-
-(** A stamped reference to a scheduled event. Handles are generation
-    stamped against the event pool: once the event has fired (or fired and
-    its record was recycled into a new event), the handle goes stale and
-    [cancel] refuses it. *)
-type handle
-
-(** Like [schedule], returning a handle for [cancel]. *)
-val schedule_cancellable : t -> delay:int -> (unit -> unit) -> handle
-
-(** [cancel t h] prevents the event behind [h] from running, returning
-    [true] if it was still pending. A cancelled event keeps its queue slot
-    — no other event's timing changes — but fires as a no-op (not counted
-    in [events_run]) and its record is recycled. Returns [false] for a
-    stale handle or an already-cancelled event; never fires a callback
-    either way. *)
-val cancel : t -> handle -> bool
 
 (** [try_advance t ~cycles] advances the clock by [cycles] and returns
     [true] iff no pending event would fire at or before the new time and no
@@ -104,13 +79,6 @@ val step : t -> bool
 
 (** Run until no events remain. *)
 val run : t -> unit
-
-(** Run until the queue is empty or the clock passes [time]. Events at
-    exactly [time] are executed. *)
-val run_until : t -> time:int -> unit
-
-(** Pending event count. *)
-val pending : t -> int
 
 (** Name of the cooperative process currently executing on this engine
     ("main" outside any process). Maintained by {!Process}; lives on the

@@ -160,6 +160,3 @@ let tick_sleep engine ~first step =
     else perform (Tick (d, step))
   in
   fast first
-
-let yield engine =
-  if Engine.try_advance engine ~cycles:0 then () else perform (Sleep 0)

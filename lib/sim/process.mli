@@ -26,10 +26,6 @@ val suspend : ((unit -> unit) -> unit) -> unit
     way. *)
 val delay : Engine.t -> int -> unit
 
-(** Re-enter the event queue at the current instant, letting other events at
-    this time run first. *)
-val yield : Engine.t -> unit
-
 (** [tick_sleep engine ~first step] sleeps [first] cycles (> 0), then calls
     [step ()] at that boundary and at each subsequent one: a return of [0]
     resumes the process at the current boundary, [d > 0] sleeps [d] more

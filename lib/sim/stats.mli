@@ -41,12 +41,6 @@ val min_opt : t -> float option
 
 val max_opt : t -> float option
 
-(** Legacy accessors: return [0.0] for an empty series — indistinguishable
-    from a real zero sample. Prefer {!min_opt}/{!max_opt} in new code. *)
-val min : t -> float
-
-val max : t -> float
-
 (** [percentile_opt t p] for [p] in [\[0,100\]] (clamped); interpolates
     between retained samples. [None] when the series is empty. Exact while
     {!exact_percentiles} holds, an estimate over the deterministic
@@ -54,11 +48,6 @@ val max : t -> float
 val percentile_opt : t -> float -> float option
 
 val median_opt : t -> float option
-
-(** Legacy accessors: [0.0] on an empty series. Prefer the [_opt] forms. *)
-val percentile : t -> float -> float
-
-val median : t -> float
 
 (** Merge the second accumulator into the first. Moments combine exactly
     (Chan's parallel variance formula); the second's retained samples feed

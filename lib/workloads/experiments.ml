@@ -1,6 +1,7 @@
 (* The experiment registry: every table and figure of the paper's
-   evaluation (§5, §7) plus our ablations and cross-backend comparisons,
-   in the one order the bench harness plans them.
+   evaluation (§5, §7) plus our ablations, cross-backend comparisons and
+   the per-shootdown phase breakdown, in the one order the bench harness
+   plans them.
 
    An entry maps a context to a Shard plan and a thunk of its
    BENCH_PERF.json rows, read from the same cell getters as its reduce.
@@ -16,9 +17,9 @@
 
 type t = {
   quick : bool;
-  shootout_ptes : int;
-  shootout_iterations : int;
-  shootout_seed : int64;
+  ptes : int; (* shootout flush size *)
+  iterations : int option; (* [None]: each metered entry's scale default *)
+  seed : int64; (* metered entries' seed *)
   micro : Microbench.result Shard.memo;
   sysbench : Sysbench.result Shard.memo;
   apache : Apache.result Shard.memo;
@@ -29,13 +30,12 @@ type t = {
 let micro_iterations ~quick = if quick then 60 else 200
 let micro_warmup = 20
 
-let context ?(shootout_ptes = 10) ?shootout_iterations ?(shootout_seed = 7L) ~quick () =
+let context ?(ptes = 10) ?iterations ?(seed = 7L) ~quick () =
   {
     quick;
-    shootout_ptes;
-    shootout_iterations =
-      Option.value shootout_iterations ~default:(micro_iterations ~quick);
-    shootout_seed;
+    ptes;
+    iterations;
+    seed;
     micro = Shard.create_memo ();
     sysbench = Shard.create_memo ();
     apache = Shard.create_memo ();
@@ -613,15 +613,16 @@ let shootout ctx =
       (fun (label, opts) ->
         let cfg =
           Microbench.default_config ~opts ~placement:Microbench.Cross_socket
-            ~pte_count:ctx.shootout_ptes
+            ~pte_count:ctx.ptes
         in
         let get =
           Figures.micro_cell ctx.micro acc
             ~label:(Printf.sprintf "shootout/%s" label)
             {
               cfg with
-              Microbench.iterations = ctx.shootout_iterations;
-              seed = ctx.shootout_seed;
+              Microbench.iterations =
+                Option.value ctx.iterations ~default:(micro_iterations ~quick:ctx.quick);
+              seed = ctx.seed;
               metering = true;
             }
         in
@@ -677,6 +678,74 @@ let shootout_perf_rows rows () =
             float "line_cycles" r.Shootout.sh_line_cycles;
           ]))
     (rows ())
+
+(* ----- Stats: per-shootdown phase breakdown (tlbsim stats) ----- *)
+
+(* A metered sweep over every placement (self/SMT flush-exec rows come from
+   the same-core placement, cross-socket rows from the cross-socket one)
+   and three flush sizes: 1 and 10 PTEs (the paper's ranged flushes) plus
+   50, which exceeds Linux's 33-entry full-flush ceiling and exercises the
+   CR3 path. Every cell pre-registers the same series in the same order
+   (Machine.create), so the plan-order merge — registration order and each
+   accumulator's sample order — is a pure function of the plan, whatever
+   the worker count. At full scale the cross-socket 10-PTE cell is
+   shootout's paper cell, read from the memo. *)
+let stats ctx =
+  let acc = Shard.acc () in
+  let iterations = Option.value ctx.iterations ~default:(if ctx.quick then 50 else 200) in
+  let cells =
+    List.concat_map
+      (fun placement ->
+        List.map
+          (fun pte_count ->
+            let cfg =
+              Microbench.default_config ~opts:(Opts.all ~safe:true) ~placement ~pte_count
+            in
+            Figures.micro_cell ctx.micro acc
+              ~label:
+                (Printf.sprintf "stats/%s/%d" (Microbench.placement_label placement)
+                   pte_count)
+              { cfg with Microbench.iterations; seed = ctx.seed; metering = true })
+          [ 1; 10; 50 ])
+      Microbench.all_placements
+  in
+  let merged =
+    lazy
+      (let m = Metrics.create ~enabled:false () in
+       List.iter (fun get -> Metrics.merge_into m (get ()).Microbench.metrics) cells;
+       m)
+  in
+  let metrics () = Lazy.force merged in
+  ( Shard.plan_of acc ~name:"stats" (fun () ->
+        Report.out_string (Format.asprintf "%a" Metrics.pp_table (metrics ()))),
+    metrics )
+
+(* Per-phase latency percentiles, one row per non-empty series. *)
+let phases_perf_rows metrics () =
+  List.filter_map
+    (fun s ->
+      let st = Metrics.stats s in
+      if Stats.count st = 0 then None
+      else
+        let labels =
+          Metrics.series_labels s
+          |> List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v)
+          |> String.concat ","
+        in
+        let key =
+          if String.equal labels "" then Metrics.series_name s
+          else Printf.sprintf "%s{%s}" (Metrics.series_name s) labels
+        in
+        let pct p = Option.value (Stats.percentile_opt st p) ~default:0.0 in
+        Some
+          Perf_row.(
+            row "phases" key
+              [
+                int "count" (Stats.count st);
+                float "p50" (pct 50.0);
+                float "p99" (pct 99.0);
+              ]))
+    (Metrics.all (metrics ()))
 
 (* ----- Shootout workloads: fig10/fig11/bigmachine-56 per backend ----- *)
 
@@ -803,6 +872,15 @@ let registry =
         (fun ctx ->
           let plan, rows = shootout ctx in
           (plan, shootout_perf_rows rows));
+    };
+    (* After shootout: at full scale it reads shootout's paper cell. *)
+    {
+      name = "stats";
+      group = None;
+      build =
+        (fun ctx ->
+          let plan, metrics = stats ctx in
+          (plan, phases_perf_rows metrics));
     };
     (* Last on purpose: its paper-backend cells must find fig10/fig11/
        bigmachine already owning the shared memo entries. *)

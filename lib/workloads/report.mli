@@ -4,6 +4,9 @@
     running inside {!capture}, into the capturing buffer. *)
 val table : title:string -> header:string list -> string list list -> unit
 
+(** [out_string s] prints [s] verbatim to the same sink as {!table}. *)
+val out_string : string -> unit
+
 (** [capture f] runs [f], collecting everything {!table} and {!bars} would
     have printed into a buffer, and returns it as a string. The redirection
     is domain-local, so experiments captured on different domains cannot

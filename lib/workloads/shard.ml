@@ -11,10 +11,13 @@
 
    Measures ride along per cell: wall-clock, engine ops (read from the
    run's own engines via the result extractor — there is no process-wide
-   ops counter to misattribute), and GC words. Minor words use
-   [Gc.minor_words] (domain-local, exact under any [-j]); major/promoted
-   deltas come from the executing domain's [quick_stat], exact because a
-   cell runs on exactly one domain and no domain is joined mid-pool. *)
+   ops counter to misattribute), and GC words. Every word count is a delta
+   of the executing domain's own counters ([Gc.minor_words],
+   [Gc.counters]; [Gc.quick_stat] would sum every domain's), taken around
+   a cell that runs start to finish on that one domain. Minor words and
+   direct major words (major minus promoted) are therefore the same at any
+   [-j]; promoted words depend on how full the minor heap was and are not
+   deterministic. *)
 
 type measure = {
   wall_s : float;  (** summed run wall — CPU-seconds under [-j N] *)
@@ -69,13 +72,13 @@ let cell ?(label = "") ?ops ~weight f =
   let slot = ref None in
   let measure = ref None in
   let exec ~progress =
-    let s0 = Gc.quick_stat () in
+    let _, pw0, jw0 = Gc.counters () in
     let mw0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
     let v = f () in
     let wall = Unix.gettimeofday () -. t0 in
     let mw1 = Gc.minor_words () in
-    let s1 = Gc.quick_stat () in
+    let _, pw1, jw1 = Gc.counters () in
     slot := Some v;
     measure :=
       Some
@@ -84,8 +87,8 @@ let cell ?(label = "") ?ops ~weight f =
           max_wall_s = wall;
           engine_ops = Option.map (fun g -> g v) ops;
           minor_words = mw1 -. mw0;
-          major_words = s1.Gc.major_words -. s0.Gc.major_words;
-          promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
+          major_words = jw1 -. jw0;
+          promoted_words = pw1 -. pw0;
           runs = 1;
         };
     if progress then Printf.eprintf "[bench]   %-32s %6.2fs\n%!" label wall

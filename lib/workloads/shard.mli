@@ -14,9 +14,11 @@ type measure = {
       (** engine events + advances, from the run's own engines via the
           cell's extractor; [None] marks "no engine-driven run" (reported
           as an explicit n/a, never a misleading 0) *)
-  minor_words : float;  (** exact: [Gc.minor_words] is domain-local *)
+  minor_words : float;  (** the executing domain's own; the same at any [-j] *)
   major_words : float;
-  promoted_words : float;
+      (** includes [promoted_words]; the direct part (major − promoted) is
+          the same at any [-j] *)
+  promoted_words : float;  (** depends on minor-heap fill: not deterministic *)
   runs : int;
 }
 

@@ -113,17 +113,28 @@ let test_per_run_rng_isolation () =
   check pairf "slot 4 = solo" solo interleaved.(4);
   check Alcotest.bool "different seed differs" true (interleaved.(1) <> solo)
 
-(* The `tlbsim stats` report merges per-cell metric registries in plan
-   order, so every export format must be byte-identical at any -j. Mini
-   iteration count: this runs nine metered sim cells per jobs level. *)
+(* The registry's stats entry (`tlbsim stats`) merges per-cell metric
+   registries in plan order, so every export format must be byte-identical
+   at any -j. Mini iteration count: this runs nine metered sim cells per
+   jobs level. *)
 let test_metrics_report_identical_across_jobs () =
-  let report ~jobs format = Observe.run ~iterations:20 ~seed:7L ~jobs format in
+  let report ~jobs =
+    let plan, metrics =
+      Experiments.stats (Experiments.context ~iterations:20 ~quick:true ())
+    in
+    ignore (Shard.execute ~jobs [ plan ] : Shard.outcome list * Domain_pool.gc_totals);
+    metrics ()
+  in
+  let j1 = report ~jobs:1 and j2 = report ~jobs:2 in
   List.iter
-    (fun (label, format) ->
-      let j1 = report ~jobs:1 format in
-      check Alcotest.bool (label ^ " non-empty") true (String.length j1 > 0);
-      check Alcotest.string (label ^ ": -j2 = -j1") j1 (report ~jobs:2 format))
-    [ ("table", Observe.Table); ("json", Observe.Json); ("prom", Observe.Prometheus) ]
+    (fun (label, render) ->
+      check Alcotest.bool (label ^ " non-empty") true (String.length (render j1) > 0);
+      check Alcotest.string (label ^ ": -j2 = -j1") (render j1) (render j2))
+    [
+      ("table", Format.asprintf "%a" Metrics.pp_table);
+      ("json", Metrics.to_json);
+      ("prom", fun m -> Metrics.to_prometheus m);
+    ]
 
 let suite =
   [

@@ -300,7 +300,7 @@ let test_shootout_identical_at_any_j () =
     Shootout.render Shootout.Table
       (execute ~jobs
          (Experiments.shootout
-            (Experiments.context ~shootout_iterations:30 ~quick:false ())))
+            (Experiments.context ~iterations:30 ~quick:false ())))
   in
   let j1 = run 1 in
   check bool_t "report lists every backend" true

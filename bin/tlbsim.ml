@@ -90,6 +90,21 @@ let jobs_t =
     const resolve
     $ Arg.(value & opt (conv (parse, Format.pp_print_int)) 1 & info [ "j"; "jobs" ] ~doc))
 
+(* Every count flag goes through this conv: a zero, negative or
+   out-of-range count is a usage error (exit 124), never an empty run, a
+   "0 +- 0" report or a crash deep inside the simulator. *)
+let count_flag ?(max = max_int) ~default ~doc name =
+  let expected =
+    if max = max_int then "a positive integer"
+    else Printf.sprintf "an integer from 1 to %d" max
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= max -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S, expected %s" s expected))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) default & info [ name ] ~doc)
+
 (* Plan one registry entry's builder, execute it on [jobs] domains and
    return its typed result; the bench table its reduce prints is captured
    by [Shard.execute] and dropped. *)
@@ -124,13 +139,8 @@ let placement_t =
   in
   Arg.(value & opt (enum alist) Microbench.Cross_socket & info [ "placement" ] ~doc)
 
-let ptes_t =
-  let doc = "PTEs flushed per madvise." in
-  Arg.(value & opt int 10 & info [ "ptes" ] ~doc)
-
-let iters_t =
-  let doc = "Measured iterations." in
-  Arg.(value & opt int 200 & info [ "iterations" ] ~doc)
+let ptes_t = count_flag ~default:10 ~doc:"PTEs flushed per madvise." "ptes"
+let iters_t = count_flag ~default:200 ~doc:"Measured iterations." "iterations"
 
 let micro_cmd =
   let run safe spec placement ptes iterations seed =
@@ -155,9 +165,12 @@ let micro_cmd =
 
 let sysbench_cmd =
   let threads_t =
-    Arg.(value & opt int 8 & info [ "threads" ] ~doc:"Worker threads (1-28, one NUMA node).")
+    (* Sysbench pins its threads to the logical CPUs of one socket. *)
+    let topo = Topology.paper_machine in
+    let node = Topology.n_cpus topo / Topology.sockets topo in
+    count_flag ~max:node ~default:8 ~doc:"Worker threads (1-28, one NUMA node)." "threads"
   in
-  let ops_t = Arg.(value & opt int 240 & info [ "ops" ] ~doc:"Writes per thread.") in
+  let ops_t = count_flag ~default:240 ~doc:"Writes per thread." "ops" in
   let run safe spec threads ops seed =
     let opts = make_opts ~safe spec in
     let cfg = Sysbench.default_config ~opts ~threads in
@@ -177,8 +190,8 @@ let sysbench_cmd =
 (* --- apache --- *)
 
 let apache_cmd =
-  let cores_t = Arg.(value & opt int 8 & info [ "cores" ] ~doc:"Worker cores (1-11).") in
-  let requests_t = Arg.(value & opt int 660 & info [ "requests" ] ~doc:"Total requests.") in
+  let cores_t = count_flag ~default:8 ~doc:"Worker cores (1-11)." "cores" in
+  let requests_t = count_flag ~default:660 ~doc:"Total requests." "requests" in
   let run safe spec cores requests seed =
     let opts = make_opts ~safe spec in
     let cfg = Apache.default_config ~opts ~cores in
@@ -212,10 +225,8 @@ let cow_cmd =
 (* --- fracture --- *)
 
 let fracture_cmd =
-  let ws_t =
-    Arg.(value & opt int 1024 & info [ "working-set" ] ~doc:"Working set in 4KiB pages.")
-  in
-  let rounds_t = Arg.(value & opt int 100 & info [ "rounds" ] ~doc:"Touch+flush rounds.") in
+  let ws_t = count_flag ~default:1024 ~doc:"Working set in 4KiB pages." "working-set" in
+  let rounds_t = count_flag ~default:100 ~doc:"Touch+flush rounds." "rounds" in
   let run working_set_pages rounds =
     let cfg = { Fracture.working_set_pages; rounds; tlb_capacity = 1536 } in
     List.iter
@@ -280,7 +291,7 @@ let analyze_cmd =
     Arg.(value & flag & info [ "explore" ] ~doc)
   in
   let rounds_t =
-    Arg.(value & opt int 40 & info [ "rounds" ] ~doc:"madvise rounds in the traced scenario.")
+    count_flag ~default:40 ~doc:"madvise rounds in the traced scenario." "rounds"
   in
   let general_flags = List.filteri (fun i _ -> i < 4) opt_names in
   let protocol_t =
@@ -382,9 +393,7 @@ let analyze_cmd =
 (* --- fuzz --- *)
 
 let fuzz_cmd =
-  let count_t =
-    Arg.(value & opt int 500 & info [ "count" ] ~doc:"Seeded programs to run.")
-  in
+  let count_t = count_flag ~default:500 ~doc:"Seeded programs to run." "count" in
   let seed_base_t =
     Arg.(value & opt int 0 & info [ "seed-base" ] ~doc:"First seed of the range.")
   in
@@ -404,7 +413,7 @@ let fuzz_cmd =
     Arg.(value & flag & info [ "inject-bug" ] ~doc)
   in
   let max_ops_t =
-    Arg.(value & opt int 32 & info [ "max-ops" ] ~doc:"Upper bound on random ops per program.")
+    count_flag ~default:32 ~doc:"Upper bound on random ops per program." "max-ops"
   in
   let no_shrink_t =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report failures without ddmin shrinking.")

@@ -19,11 +19,4 @@ let spawn_kernel m ~cpu ~name body =
       Cpu.set_in_user cpu_t false;
       Fun.protect ~finally:(fun () -> Cpu.vacate cpu_t) body)
 
-let spawn_idle m ~cpu ~until =
-  spawn_kernel m ~cpu ~name:(Printf.sprintf "idle%d" cpu) (fun () ->
-      let cpu_t = Machine.cpu m cpu in
-      while not (until ()) do
-        Cpu.idle_wait cpu_t
-      done)
-
 let run m = Machine.run m

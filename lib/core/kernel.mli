@@ -11,14 +11,10 @@
 val spawn_user :
   Machine.t -> cpu:int -> mm:Mm_struct.t -> name:string -> (unit -> unit) -> unit
 
-(** A kernel-context process on [cpu] (e.g. a background responder or an
-    idle loop); does not touch address-space state. *)
+(** A kernel-context process on [cpu] (e.g. a background responder); does
+    not touch address-space state. An idle CPU needs no process at all: it
+    takes IPIs through detached dispatch (see {!Cpu.occupy}). *)
 val spawn_kernel : Machine.t -> cpu:int -> name:string -> (unit -> unit) -> unit
-
-(** An idle loop that services IPIs on [cpu] until [until ()] is true
-    (checked after each wakeup). Spawn one per otherwise-unused CPU that
-    can receive shootdowns. *)
-val spawn_idle : Machine.t -> cpu:int -> until:(unit -> bool) -> unit
 
 (** Run the machine to quiescence and re-raise any process failure. *)
 val run : Machine.t -> unit

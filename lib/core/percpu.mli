@@ -101,10 +101,8 @@ val kernel_pcid : int -> int
 
 val user_pcid : int -> int
 
-(** Currently loaded kernel/user PCIDs. *)
+(** Currently loaded kernel PCID. *)
 val current_kernel_pcid : t -> int
-
-val current_user_pcid : t -> int
 
 (** Slot caching [mm_id], if any. *)
 val find_slot : t -> mm_id:int -> int option

@@ -42,5 +42,4 @@ let with_write t f =
   Fun.protect ~finally:(fun () -> up_write t) f
 
 let readers t = t.n_readers
-let writer_held t = t.writer
 let waiting t = Waitq.waiters t.q

@@ -24,5 +24,4 @@ val with_write : t -> (unit -> 'a) -> 'a
 (** Current state, for tests. *)
 val readers : t -> int
 
-val writer_held : t -> bool
 val waiting : t -> int

@@ -162,9 +162,6 @@ let nmi_uaccess_okay m ~cpu =
    generic checks (pending_user drained, csq empty, ...). *)
 let protocol_quiescent m ~cpu fail = (backend m).Protocol.quiescent m ~cpu fail
 
-(* The active backend's stable label, for reports. *)
-let protocol_name m = (backend m).Protocol.name
-
 let check_and_sync_tlb m ~cpu =
   let pcpu = Machine.percpu m cpu in
   match pcpu.Percpu.loaded_mm with

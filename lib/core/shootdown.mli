@@ -102,6 +102,3 @@ val nmi_uaccess_okay : Machine.t -> cpu:int -> bool
     descriptor. Driven per CPU by [Explorer.post_invariants] alongside its
     generic checks. *)
 val protocol_quiescent : Machine.t -> cpu:int -> (string -> unit) -> unit
-
-(** The active backend's stable label ({!Opts.protocol_label}). *)
-val protocol_name : Machine.t -> string

@@ -277,9 +277,3 @@ let reset_stats reg =
       l.n_accesses <- 0;
       l.n_transfers <- 0)
     reg.lines
-
-let pp_totals fmt t =
-  Format.fprintf fmt
-    "reads=%d writes=%d local=%d smt=%d same-socket=%d cross-socket=%d cycles=%d"
-    t.reads t.writes t.local_hits t.smt_transfers t.same_socket_transfers
-    t.cross_socket_transfers t.cycles

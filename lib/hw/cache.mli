@@ -65,5 +65,3 @@ val totals : registry -> totals
 
 (** Reset all counters (line ownership is kept). *)
 val reset_stats : registry -> unit
-
-val pp_totals : Format.formatter -> totals -> unit

@@ -15,7 +15,6 @@ type t = {
   deferred : irq Queue.t;
       (* scratch for [service_pending]: masked IRQs awaiting re-queue.
          Empty outside a drain; preallocated so drains allocate nothing. *)
-  wake : Waitq.t;
   mutable user : bool;
   mutable draining : bool;
   mutable t_interrupted : int;
@@ -23,8 +22,8 @@ type t = {
   mutable t_compute : int;
   mutable from_user_irq : bool;
   mutable service_depth : int;
-      (* > 0 while some process is at a service point (compute / spin /
-         idle) and will drain the queue itself. *)
+      (* > 0 while some process is at a service point ([compute] /
+         [poll_wait]) and will drain the queue itself. *)
   mutable occupancy : int;
       (* processes bound to this CPU. IRQ handlers must never interleave
          with user-mode execution of an occupant, so detached dispatch is
@@ -58,7 +57,6 @@ let create eng topo cost ~id ~safe ?tlb_capacity () =
     pending_unmaskable = 0;
     dispatch_name = dispatch_name_of id;
     deferred = Queue.create ();
-    wake = Waitq.create eng;
     user = true;
     draining = false;
     t_interrupted = 0;
@@ -75,8 +73,6 @@ let tlb t = t.cpu_tlb
 let engine t = t.eng
 let costs t = t.cost
 let in_user t = t.user
-let irqs_masked t = t.masked
-let pending_irqs t = Queue.length t.pending
 let interrupted_cycles t = t.t_interrupted
 let irqs_handled t = t.t_handled
 let compute_cycles t = t.t_compute
@@ -163,7 +159,6 @@ let maybe_dispatch t =
 let post_irq t irq =
   Queue.push irq t.pending;
   if not irq.maskable then t.pending_unmaskable <- t.pending_unmaskable + 1;
-  Waitq.signal_all t.wake;
   maybe_dispatch t
 
 let set_in_user t b =
@@ -217,39 +212,14 @@ let compute t ?(quantum = 200) cycles =
       done;
       if has_deliverable t then service_pending t)
 
-let spin_until t cond =
-  in_service_window t (fun () ->
-      let rec loop () =
-        if not (cond ()) then begin
-          if has_deliverable t then service_pending t;
-          if not (cond ()) then begin
-            Process.tick_sleep t.eng ~first:t.cost.spin_poll (fun () ->
-                if cond () || serviceable t then 0 else t.cost.spin_poll);
-            loop ()
-          end
-        end
-      in
-      loop ())
-
-(* Spin-wait loops call this once per [spin_poll] window, which makes it
-   the single hottest function in the shootdown benches — hence the inlined
-   service window (no closure, no Fun.protect). *)
-let poll t =
-  t.service_depth <- t.service_depth + 1;
-  (try
-     if has_deliverable t then service_pending t;
-     Process.delay t.eng t.cost.spin_poll
-   with e ->
-     t.service_depth <- t.service_depth - 1;
-     raise e);
-  t.service_depth <- t.service_depth - 1
-
-(* [poll] fused across idle windows: one service check, then poll-boundary
-   ticks until [ready ()] holds or an IRQ becomes deliverable at a
-   boundary. Timing-identical to calling [poll] in a loop with the same
-   exit condition between calls, but the idle boundaries never resume the
-   process. The service window stays open for the whole span, as it is
-   across [poll]'s sleep, so IRQs posted mid-span wait for a boundary
+(* One spin-wait span: a service check, then poll-boundary ticks until
+   [ready ()] holds or an IRQ becomes deliverable at a boundary.
+   Timing-identical to a loop of "service, sleep [spin_poll]" steps with
+   the same exit check between them, but the idle boundaries never resume
+   the process. Every spin-wait of the protocol backends runs here, which
+   makes it the hottest function in the shootdown benches — hence the
+   inlined service window (no closure, no Fun.protect). The window stays
+   open for the whole span, so IRQs posted mid-span wait for a boundary
    rather than spawning a detached dispatch. *)
 let poll_wait t ready =
   t.service_depth <- t.service_depth + 1;
@@ -261,8 +231,3 @@ let poll_wait t ready =
      t.service_depth <- t.service_depth - 1;
      raise e);
   t.service_depth <- t.service_depth - 1
-
-let idle_wait t =
-  in_service_window t (fun () ->
-      if not (has_deliverable t) then Waitq.wait t.wake;
-      service_pending t)

@@ -1,8 +1,9 @@
 (** A logical CPU: executes simulated work, takes interrupts, owns a TLB.
 
-    Interrupts are serviced at explicit points — between compute chunks,
-    inside spin-wait polls, and in idle waits — which models real interrupt
-    delivery at instruction boundaries plus dispatch latency. Handler
+    Interrupts are serviced at explicit points — between compute chunks and
+    inside spin-wait polls — or, on an idle CPU or one in kernel context,
+    by a detached dispatch at arrival, which models real interrupt delivery
+    at instruction boundaries plus dispatch latency. Handler
     execution time is attributed to the CPU's [interrupted_cycles], which is
     exactly what the paper's microbenchmark reports for responder cores. *)
 
@@ -31,7 +32,6 @@ val in_user : t -> bool
 
 val set_in_user : t -> bool -> unit
 
-val irqs_masked : t -> bool
 val irq_disable : t -> unit
 
 (** Disable interrupts {e and} wait for any in-flight detached handler to
@@ -62,7 +62,8 @@ val occupy : t -> unit
 val vacate : t -> unit
 
 (** Deliver an interrupt to this CPU (called by the APIC at arrival time).
-    Wakes idle/spinning processes. *)
+    A process at a service point takes it at its next one; otherwise a
+    detached dispatch runs it now if {!occupy}'s rules allow. *)
 val post_irq : t -> irq -> unit
 
 (** Service all pending deliverable IRQs now, paying entry/exit costs.
@@ -73,29 +74,14 @@ val service_pending : t -> unit
     [quantum] (default 200) cycles. *)
 val compute : t -> ?quantum:int -> int -> unit
 
-(** Spin until [cond ()] holds, servicing IRQs each poll. The condition is
-    re-checked every [Costs.spin_poll] cycles. *)
-val spin_until : t -> (unit -> bool) -> unit
-
-(** One spin-wait step: service deliverable IRQs, then burn one
-    [Costs.spin_poll] interval. Building block for wait loops that
-    interleave other work between polls. *)
-val poll : t -> unit
-
-(** [poll] fused across idle windows: service deliverable IRQs, then sleep
-    in [Costs.spin_poll] ticks until [ready ()] holds — or an IRQ becomes
-    deliverable — at a tick boundary. Timing-identical to looping over
-    {!poll} with the same exit check between calls, but idle boundaries do
-    not resume the process (see {!Process.tick_sleep}); [ready] must be
-    observably side-effect-free. *)
+(** One spin-wait span: service deliverable IRQs, then sleep in
+    [Costs.spin_poll] ticks until [ready ()] holds — or an IRQ becomes
+    deliverable — at a tick boundary. Timing-identical to a loop of
+    "service, sleep [spin_poll]" steps with the same exit check between
+    them, but idle boundaries do not resume the process (see
+    {!Process.tick_sleep}); [ready] must be observably side-effect-free.
+    Callers loop over it, re-checking their condition after each return. *)
 val poll_wait : t -> (unit -> bool) -> unit
-
-(** Block until an IRQ is posted (or return immediately if one is pending),
-    then service. The idle loop of a core. *)
-val idle_wait : t -> unit
-
-(** Pending IRQ count (for tests). *)
-val pending_irqs : t -> int
 
 (** Cycles spent in IRQ handlers (entry + handler + exit). *)
 val interrupted_cycles : t -> int

@@ -7,8 +7,6 @@
 
 type page_size = Four_k | Two_m
 
-let bytes_of_page_size = function Four_k -> 4096 | Two_m -> 2 * 1024 * 1024
-
 type entry = {
   vpn : int;
   pfn : int;

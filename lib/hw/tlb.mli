@@ -14,9 +14,6 @@
 
 type page_size = Four_k | Two_m
 
-(** Bytes per page. *)
-val bytes_of_page_size : page_size -> int
-
 type entry = {
   vpn : int;  (** virtual page number in 4 KiB units (base of the page) *)
   pfn : int;  (** physical frame number backing [vpn] *)

@@ -95,7 +95,6 @@ let free_huge t base =
 
 let total t = t.frames
 let allocated t = t.n_allocated
-let free_count t = t.frames - t.n_allocated
 
 let generation t pfn =
   if pfn < 0 || pfn >= t.frames then invalid_arg "Frame_alloc.generation";

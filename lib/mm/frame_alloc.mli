@@ -41,7 +41,6 @@ val is_allocated : t -> int -> bool
 
 val total : t -> int
 val allocated : t -> int
-val free_count : t -> int
 
 (** Generation counter for a frame: bumped on every free, so a stale
     reference can detect reuse. *)

@@ -31,7 +31,6 @@ let make_cow t = { t with writable = false; cow = true }
 
 let break_cow t ~new_pfn = { t with pfn = new_pfn; writable = true; cow = false; dirty = true }
 
-let mark_accessed t = { t with accessed = true }
 let mark_dirty t = { t with dirty = true; accessed = true }
 let write_protect t = { t with writable = false }
 let clean t = { t with dirty = false }

@@ -31,7 +31,6 @@ val make_cow : t -> t
 (** Resolve COW: new frame, writable, not COW. *)
 val break_cow : t -> new_pfn:int -> t
 
-val mark_accessed : t -> t
 val mark_dirty : t -> t
 val write_protect : t -> t
 val clean : t -> t

@@ -2,8 +2,7 @@
    of: the event arena at [base + field] with [base] a stride-aligned
    offset handed out by [alloc] (< [t.cap], and the arena never shrinks);
    the power-of-two ring (slot = time land (ring_size - 1)); the heap's
-   parallel key/event arrays within [t.size]; the closure registry below
-   its length (slots come from [cls_alloc]); the handler table below
+   parallel key/event arrays within [t.size]; the handler table below
    [t.n_handlers] (schedule-time range check, and the table never
    shrinks); or the free-tag stack below [t.n_free_tags]. *)
 (* The hot core of the simulator. Three representation choices keep the
@@ -22,12 +21,10 @@
      [caml_modify], and at ~9 barriered stores per event the barriers cost
      more than the minor-GC pressure they saved. Int stores into an int
      array have no barrier at all, so the flat arena makes scheduling both
-     allocation-free AND barrier-free. Closures (the [schedule] interface)
-     live in a side registry indexed by the event row — one barriered
-     store per closure event instead of several — and hot callers avoid
-     even that with [schedule_tag]: a handler registered once per
-     long-lived object (process, APIC, ...) is dispatched by integer tag
-     with two unboxed int arguments carried in the row.
+     allocation-free AND barrier-free. An event carries no pointer: it
+     names a handler registered once per long-lived object (process,
+     APIC, ...) by integer tag, with two unboxed int arguments in the
+     row.
    - [try_advance] lets a running process skip the whole
      suspend/schedule/pop round-trip when no pending event could fire
      inside the window it wants to sleep across: the clock simply moves
@@ -46,9 +43,9 @@ let key_time k = k lsr seq_bits
 
 (* Event rows: [stride] ints per event, addressed by base offset. *)
 let f_key = 0 (* packed (time, seq) priority *)
-let f_tag = 1 (* >= 0: handler-table index; -1: closure (f_b = registry slot) *)
+let f_tag = 1 (* handler-table index *)
 let f_a = 2 (* first unboxed handler argument *)
-let f_b = 3 (* second unboxed handler argument, or closure-registry slot *)
+let f_b = 3 (* second unboxed handler argument *)
 let f_next = 4 (* intrusive FIFO / free-list link: base offset, [nil] = end *)
 let stride = 5
 let nil = -1
@@ -62,8 +59,6 @@ let nil = -1
    ever moves [ring_min] forward between pushes), versus an O(log n) sift
    per event, and the sift was the single largest line in bench profiles. *)
 let ring_size = 4096
-
-let no_closure () = invalid_arg "Engine: closure slot dispatched twice"
 
 let no_handler (_ : int) (_ : int) =
   invalid_arg "Engine: tag dispatched after release_handler"
@@ -85,10 +80,6 @@ type t = {
   mutable ring_min : int;
       (* lower bound on the earliest ring event's time: no ring event lives
          in [now, ring_min). Pop scans start here instead of [now]. *)
-  mutable cls : (unit -> unit) array; (* closure registry for [schedule] *)
-  mutable cls_free : int array; (* stack of free registry slots *)
-  mutable n_cls_free : int;
-  mutable n_cls : int; (* registry slots handed out so far *)
   mutable handlers : (int -> int -> unit) array; (* tag dispatch table *)
   mutable n_handlers : int;
   mutable free_tags : int array; (* stack of released handler slots *)
@@ -114,10 +105,6 @@ let create () =
     ring_tail = Array.make ring_size nil;
     ring_count = 0;
     ring_min = 0;
-    cls = [||];
-    cls_free = [||];
-    n_cls_free = 0;
-    n_cls = 0;
     handlers = [||];
     n_handlers = 0;
     free_tags = [||];
@@ -178,45 +165,6 @@ let alloc t ~key ~tag ~a ~b =
 let release t base =
   Array.unsafe_set t.store (base + f_next) t.free;
   t.free <- base
-
-(* ----- closure registry -----
-
-   [schedule]'s callbacks are the one pointer payload an event can carry;
-   they live in this side table so the queues stay all-int. A slot is
-   freed (and pointed back at [no_closure], releasing the callback to the
-   GC) before its closure runs, so a callback can recycle its own slot. *)
-
-let cls_alloc t f =
-  let slot =
-    if t.n_cls_free > 0 then begin
-      t.n_cls_free <- t.n_cls_free - 1;
-      Array.unsafe_get t.cls_free t.n_cls_free
-    end
-    else begin
-      if t.n_cls = Array.length t.cls then begin
-        let bigger = Array.make (Stdlib.max 64 (2 * t.n_cls)) no_closure in
-        Array.blit t.cls 0 bigger 0 t.n_cls;
-        t.cls <- bigger
-      end;
-      let slot = t.n_cls in
-      t.n_cls <- slot + 1;
-      slot
-    end
-  in
-  t.cls.(slot) <- f;
-  slot
-
-let cls_take t slot =
-  let f = Array.unsafe_get t.cls slot in
-  Array.unsafe_set t.cls slot no_closure;
-  if t.n_cls_free = Array.length t.cls_free then begin
-    let bigger = Array.make (Stdlib.max 64 (2 * t.n_cls_free)) 0 in
-    Array.blit t.cls_free 0 bigger 0 t.n_cls_free;
-    t.cls_free <- bigger
-  end;
-  Array.unsafe_set t.cls_free t.n_cls_free slot;
-  t.n_cls_free <- t.n_cls_free + 1;
-  f
 
 (* ----- tag dispatch table ----- *)
 
@@ -449,16 +397,6 @@ let renumber t =
 
 (* ----- scheduling ----- *)
 
-(* The fire time [delay] cycles from now, checked: [delay <= max_time -
-   now] (overflow-safe: both sides are non-negative ints) keeps the time
-   inside the packed key's time field. *)
-let fire_time t ~caller ~delay =
-  if delay < 0 then invalid_arg (caller ^ ": negative delay");
-  if delay > max_time - t.now then
-    invalid_arg
-      (Printf.sprintf "%s: delay %d from time %d overflows the clock" caller delay t.now);
-  t.now + delay
-
 let fresh_key t ~time =
   if t.seq >= seq_mask then renumber t;
   let key = (time lsl seq_bits) lor t.seq in
@@ -470,13 +408,15 @@ let enqueue t ~time ev =
   | None when time - t.now < ring_size -> ring_append t ~time ev
   | _ -> push t ev
 
-let schedule t ~delay run =
-  let time = fire_time t ~caller:"Engine.schedule" ~delay in
-  let key = fresh_key t ~time in
-  enqueue t ~time (alloc t ~key ~tag:(-1) ~a:0 ~b:(cls_alloc t run))
-
+(* [delay <= max_time - now] (overflow-safe: both sides are non-negative
+   ints) keeps the fire time inside the packed key's time field. *)
 let schedule_tag t ~delay ~tag ~a ~b =
-  let time = fire_time t ~caller:"Engine.schedule_tag" ~delay in
+  if delay < 0 then invalid_arg "Engine.schedule_tag: negative delay";
+  if delay > max_time - t.now then
+    invalid_arg
+      (Printf.sprintf "Engine.schedule_tag: delay %d from time %d overflows the clock"
+         delay t.now);
+  let time = t.now + delay in
   if tag < 0 || tag >= t.n_handlers then
     invalid_arg "Engine.schedule_tag: unregistered tag";
   let key = fresh_key t ~time in
@@ -492,8 +432,8 @@ let try_advance t ~cycles =
       if cycles < 0 then invalid_arg "Engine.try_advance: negative cycles";
       (* [cycles <= max_time - t.now] (overflow-safe: both sides are
          non-negative ints) keeps [now] inside the packed key's time field.
-         Past that, decline the fast path so the slow path's schedule
-         reports the clock overflow instead of [now] silently wrapping into
+         Past that, decline the fast path so the slow path's
+         [schedule_tag] reports the clock overflow instead of [now] silently wrapping into
          the seq bits. *)
       if cycles <= max_time - t.now && peek_time t > t.now + cycles then begin
         t.now <- t.now + cycles;
@@ -512,7 +452,7 @@ let dispatch t base =
   let b = Array.unsafe_get s (base + f_b) in
   release t base;
   t.events_run <- t.events_run + 1;
-  if tag >= 0 then (Array.unsafe_get t.handlers tag) a b else (cls_take t b) ()
+  (Array.unsafe_get t.handlers tag) a b
 
 (* With a chooser installed, every set of events falling inside the
    concurrency horizon is a scheduling decision point: the chooser picks

@@ -4,6 +4,12 @@
     scheduled for the same instant fire in insertion order, which makes every
     simulation deterministic.
 
+    Every event is a tagged dispatch: a long-lived object (a process, the
+    APIC, a deferred-flush queue) registers one handler and gets back an
+    integer tag, then schedules by tag with two unboxed [int] arguments
+    stored in the pooled event itself. Events carry no closure, so
+    scheduling is allocation-free at steady state.
+
     Internally the priority key packs [(time, seq)] into a single int, so
     heap ordering is one native comparison; see the implementation notes.
     Simulated time may not exceed [2^38] cycles (ample: the full paper
@@ -17,7 +23,7 @@ val create : unit -> t
 val now : t -> int
 
 (** Largest representable simulated time ([2^38 - 1] cycles with the
-    current packing). [schedule]/[schedule_tag] reject later times, and the
+    current packing). {!schedule_tag} rejects later times, and the
     [try_advance] fast path declines to move [now] past it, so the packed
     key's time field can never wrap into the sequence bits. *)
 val max_time : int
@@ -36,20 +42,7 @@ val advances : t -> int
     report 0 for experiments that reuse memoized results. *)
 val ops : t -> int
 
-(** [schedule t ~delay f] runs [f] at [now t + delay]. Raises
-    [Invalid_argument] on a negative delay or one that would move past
-    {!max_time}. *)
-val schedule : t -> delay:int -> (unit -> unit) -> unit
-
-(** {2 Tagged dispatch}
-
-    Event records are pooled and recycled internally, so [schedule] is
-    already allocation-free at steady state apart from its closure. Hot
-    callers that schedule the same logical callback over and over (a
-    process's sleep-resume, APIC IPI delivery, deferred TLB flushes)
-    additionally avoid the closure: register a handler once, then schedule
-    by integer tag with two unboxed [int] arguments stored in the pooled
-    event itself. *)
+(** {2 Tagged dispatch} *)
 
 (** [register_handler t f] installs [f] in the engine's dispatch table and
     returns its tag. Tags are small dense ints (released tags are reused). *)
@@ -63,8 +56,9 @@ val release_handler : t -> int -> unit
 
 (** [schedule_tag t ~delay ~tag ~a ~b] runs [handler a b] at
     [now t + delay], where [handler] is the function registered under
-    [tag]. Raises [Invalid_argument] as [schedule] does, or on a tag that
-    was never registered. Allocation-free at steady state. *)
+    [tag]. Raises [Invalid_argument] on a negative delay, on one that would
+    move past {!max_time}, or on a tag that was never registered.
+    Allocation-free at steady state. *)
 val schedule_tag : t -> delay:int -> tag:int -> a:int -> b:int -> unit
 
 (** [try_advance t ~cycles] advances the clock by [cycles] and returns

@@ -10,16 +10,14 @@ let () =
     | _ -> None)
 
 type _ Effect.t +=
-  | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+  | Park : (int -> unit) -> unit Effect.t
+        (* [Park register]: suspend until {!wake} is called with the token
+           the handler passes to [register]. *)
   | Sleep : int -> unit Effect.t
-        (* [Sleep cycles] = [Suspend (fun r -> Engine.schedule ~delay:cycles r)]
-           minus the allocations: no [register] closure, no per-sleep resume
-           closure (the process registers one engine handler at spawn and
-           sleeps by tag), and no double-resume guard — the engine fires a
-           scheduled event exactly once, and a spurious second resume finds
-           the continuation slot empty and raises. Delays are the dominant
-           suspension in spin-heavy benches, so the slimmer path pays for
-           the extra constructor. *)
+        (* [Sleep cycles]: a park whose wake the process schedules itself,
+           [cycles] ahead — no [register] closure and no token. Delays are
+           the dominant suspension in spin-heavy benches, so the slimmer
+           path pays for the extra constructor. *)
   | Tick : int * (unit -> int) -> unit Effect.t
         (* [Tick (first, step)]: sleep [first] cycles, then consult [step]
            at that boundary — and at each subsequent one — from inside the
@@ -34,60 +32,86 @@ type _ Effect.t +=
            boundaries, which makes this the difference between the
            simulation allocating per poll tick and not allocating at all. *)
 
+(* A wake token packs the parked process's handler tag (low [tag_bits])
+   with the generation of the park it ends; it stays a non-negative int
+   while generations, which start at an engine event count, are below
+   2^38. *)
+let tag_bits = 24
+let tag_mask = (1 lsl tag_bits) - 1
+
+(* Every process event goes to the one handler its process registers at
+   spawn, with [a] saying what the event is and [b] carrying its int: *)
+let ev_resume = 0 (* b = park generation: a sleep ends or {!wake} fires *)
+let ev_tick = 1 (* b = the process's own tag: a [Tick] boundary *)
+let ev_start = 2 (* b = the process's own tag: run the body *)
+
+(* A process's parking state, one block per process. [gen] counts parks:
+   a resume event carries the generation of the park it ends and must find
+   the process parked at exactly that generation. *)
+type parking = {
+  mutable k : (unit, unit) continuation option; (* set while parked *)
+  mutable step : (unit -> int) option; (* set while parked in a [Tick] *)
+  mutable gen : int;
+}
+
+let parked p k =
+  p.gen <- p.gen + 1;
+  p.k <- Some k
+
 let self_name engine = Engine.current_name engine
 
-let suspend register = perform (Suspend register)
+let park register = perform (Park register)
+
+let wake engine token =
+  Engine.schedule_tag engine ~delay:0 ~tag:(token land tag_mask) ~a:ev_resume
+    ~b:(token lsr tag_bits)
 
 let spawn engine ~name f =
-  (* One resume handler per process, registered once: a sleep parks the
-     continuation in [kslot] and schedules a pooled tag event — nothing is
-     allocated per sleep beyond the [Some] box. The tag is released when
-     the process completes (it cannot be sleeping while it runs, so no
-     event can still carry the tag). *)
-  let kslot : (unit, unit) continuation option ref = ref None in
-  let stepslot : (unit -> int) option ref = ref None in
-  let resume () =
-    match !kslot with
-    | None -> invalid_arg (Printf.sprintf "Process %s resumed twice" name)
-    | Some k ->
-        kslot := None;
+  (* One handler per process, registered once: a park stores the
+     continuation in [p.k], and every event the process needs — start,
+     sleep resume, tick boundary, wake — is a pooled tag event, so nothing
+     is allocated per sleep beyond the [Some] box. The tag is released when
+     the process completes (it cannot be parked while it runs, so no event
+     of its own can still carry the tag).
+
+     A second wake, or one left over from an earlier park, finds another
+     generation (or no continuation) and raises. Seeding [gen] from the
+     engine's event count keeps generations distinct across processes that
+     reuse a released tag — every park of an earlier holder ended with one
+     of its own events, all dispatched before this spawn. *)
+  let p = { k = None; step = None; gen = Engine.events_run engine } in
+  let resume g =
+    match p.k with
+    | Some k when g = p.gen -> (
+        p.k <- None;
         let saved = Engine.current_name engine in
         Engine.set_current_name engine name;
         (* Restore by hand instead of Fun.protect: this runs once per
-           resumed suspension, squarely on the hot path, and the
-           protect pair is two allocations. *)
-        (match continue k () with
+           resumed suspension, squarely on the hot path, and the protect
+           pair is two allocations. *)
+        match continue k () with
         | () -> Engine.set_current_name engine saved
         | exception e ->
             Engine.set_current_name engine saved;
             raise e)
+    | _ -> invalid_arg (Printf.sprintf "Process %s resumed twice" name)
   in
   (* Drive one poll boundary of a [Tick] suspension. Mirrors what the
      resumed process itself would do after a plain sleep: consult the
      condition, and either continue (here: [resume]), skip ahead through an
      empty window ([try_advance], exactly like [delay]'s fast path), or
-     schedule the next boundary. [tag] rides in the event's [b] argument so
-     this function needs no back-reference to it. *)
-  let rec tick step b =
+     schedule the next boundary. *)
+  let rec tick step tag =
     let d = step () in
     if d = 0 then begin
-      stepslot := None;
-      resume ()
+      p.step <- None;
+      resume p.gen
     end
     else if d < 0 then invalid_arg "Process.tick_sleep: negative interval"
-    else if Engine.try_advance engine ~cycles:d then tick step b
-    else Engine.schedule_tag engine ~delay:d ~tag:b ~a:1 ~b
+    else if Engine.try_advance engine ~cycles:d then tick step tag
+    else Engine.schedule_tag engine ~delay:d ~tag ~a:ev_tick ~b:tag
   in
-  let tag =
-    Engine.register_handler engine (fun a b ->
-        if a = 0 then resume ()
-        else
-          match !stepslot with
-          | None ->
-              invalid_arg (Printf.sprintf "Process %s: tick without a step" name)
-          | Some step -> tick step b)
-  in
-  let body () =
+  let body tag =
     match_with f ()
       {
         retc = (fun () -> Engine.release_handler engine tag);
@@ -98,46 +122,45 @@ let spawn engine ~name f =
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Suspend register ->
+            | Park register ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    let resumed = ref false in
-                    let resume () =
-                      if !resumed then
-                        invalid_arg
-                          (Printf.sprintf "Process %s resumed twice" name);
-                      resumed := true;
-                      let saved = Engine.current_name engine in
-                      Engine.set_current_name engine name;
-                      match continue k () with
-                      | () -> Engine.set_current_name engine saved
-                      | exception e ->
-                          Engine.set_current_name engine saved;
-                          raise e
-                    in
-                    register resume)
+                    parked p k;
+                    register ((p.gen lsl tag_bits) lor tag))
             | Sleep cycles ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    kslot := Some k;
-                    Engine.schedule_tag engine ~delay:cycles ~tag ~a:0 ~b:0)
+                    parked p k;
+                    Engine.schedule_tag engine ~delay:cycles ~tag ~a:ev_resume ~b:p.gen)
             | Tick (first, step) ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    kslot := Some k;
-                    stepslot := Some step;
-                    Engine.schedule_tag engine ~delay:first ~tag ~a:1 ~b:tag)
+                    parked p k;
+                    p.step <- Some step;
+                    Engine.schedule_tag engine ~delay:first ~tag ~a:ev_tick ~b:tag)
             | _ -> None);
       }
   in
-  Engine.schedule engine ~delay:0 (fun () ->
-      let saved = Engine.current_name engine in
-      Engine.set_current_name engine name;
-      match body () with
-      | () -> Engine.set_current_name engine saved
-      | exception e ->
-          Engine.set_current_name engine saved;
-          raise e)
+  let tag =
+    Engine.register_handler engine (fun a b ->
+        if a = ev_resume then resume b
+        else if a = ev_tick then
+          match p.step with
+          | None ->
+              invalid_arg (Printf.sprintf "Process %s: tick without a step" name)
+          | Some step -> tick step b
+        else begin
+          let saved = Engine.current_name engine in
+          Engine.set_current_name engine name;
+          match body b with
+          | () -> Engine.set_current_name engine saved
+          | exception e ->
+              Engine.set_current_name engine saved;
+              raise e
+        end)
+  in
+  if tag > tag_mask then invalid_arg "Process.spawn: too many live processes";
+  Engine.schedule_tag engine ~delay:0 ~tag ~a:ev_start ~b:tag
 
 let delay engine cycles =
   if cycles < 0 then invalid_arg "Process.delay: negative delay";

@@ -1,9 +1,10 @@
 (** Direct-style simulated processes on top of OCaml 5 effect handlers.
 
-    A process is ordinary OCaml code that may perform {!delay} and
-    {!suspend}; the handler installed by {!spawn} turns those into engine
-    events, so protocol code reads sequentially ("flush, then wait for the
-    ack") while the engine interleaves many processes deterministically. *)
+    A process is ordinary OCaml code that may perform {!delay},
+    {!tick_sleep} and {!park}; the handler installed by {!spawn} turns
+    those into tagged engine events, so protocol code reads sequentially
+    ("flush, then wait for the ack") while the engine interleaves many
+    processes deterministically. *)
 
 exception Process_failure of string * exn
 
@@ -14,11 +15,19 @@ exception Process_failure of string * exn
     out of the engine loop. *)
 val spawn : Engine.t -> name:string -> (unit -> unit) -> unit
 
-(** Suspend the current process; [register resume] is called immediately and
-    must arrange for [resume] to be invoked exactly once later (e.g. stash it
-    in a wait queue or schedule it). Must only be called from process
-    context. *)
-val suspend : ((unit -> unit) -> unit) -> unit
+(** Park the current process until it is woken: [register token] is
+    called immediately and must arrange for [wake engine token] to be
+    called exactly once later (e.g. stash the token in a wait queue). Must
+    only be called from process context. *)
+val park : (int -> unit) -> unit
+
+(** [wake engine token] resumes the process parked under [token] at the
+    current instant, after every event already scheduled for it. A second
+    wake of the same token, or one whose park has already ended, raises
+    [Invalid_argument "Process <name> resumed twice"] when its event fires.
+    A wake after the process has finished raises too: its tag is released,
+    or reused by a process that never parks at the token's generation. *)
+val wake : Engine.t -> int -> unit
 
 (** Advance this process's local time by [cycles] (>= 0). When no pending
     event falls inside the window this is a plain clock bump

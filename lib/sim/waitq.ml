@@ -1,13 +1,11 @@
-type t = { engine : Engine.t; queue : (unit -> unit) Queue.t }
+type t = { engine : Engine.t; queue : int Queue.t (* wake tokens *) }
 
 let create engine = { engine; queue = Queue.create () }
 
-let wait t = Process.suspend (fun resume -> Queue.push resume t.queue)
+let wait t = Process.park (fun token -> Queue.push token t.queue)
 
 let signal_one t =
-  match Queue.take_opt t.queue with
-  | None -> ()
-  | Some resume -> Engine.schedule t.engine ~delay:0 resume
+  if not (Queue.is_empty t.queue) then Process.wake t.engine (Queue.pop t.queue)
 
 let signal_all t =
   while not (Queue.is_empty t.queue) do

@@ -1,8 +1,10 @@
 (** Condition variables and one-shot completions for simulated processes.
 
-    These are the only blocking primitives the kernel model uses: cores
-    spin-waiting on shootdown acknowledgements, idle loops waiting for
-    interrupts, and threads waiting on the mmap semaphore all sleep here. *)
+    These are the only blocking primitives the kernel model uses: threads
+    waiting on the mmap semaphore and scenario threads waiting for set-up
+    sleep here (spin-waits poll instead, see [Cpu.poll_wait]). A waiter
+    queues its {!Process.park} wake token; a signal wakes it with one
+    tagged engine event at the current instant. *)
 
 type t
 

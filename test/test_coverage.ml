@@ -29,9 +29,12 @@ let test_cpu_accounting_reset () =
 let test_apic_and_tlb_stat_resets () =
   let m = make () in
   Process.spawn m.Machine.engine ~name:"t" (fun () ->
+      let irq_id =
+        Apic.register_irq m.Machine.apic
+          { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) }
+      in
       ignore
-        (Apic.send_ipi m.Machine.apic ~from:0 ~targets:[ 1 ] ~make_irq:(fun _ ->
-             { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) })));
+        (Apic.send_ipi_id m.Machine.apic ~from:0 ~targets:(Cpuset.of_list [ 1 ]) ~irq_id));
   Kernel.run m;
   check int_t "sent" 1 (Apic.ipis_sent m.Machine.apic);
   Apic.reset_stats m.Machine.apic;
@@ -72,8 +75,9 @@ let test_opts_pp_lists_enabled () =
 
 let test_engine_events_run_counter () =
   let e = Engine.create () in
+  let tag = Engine.register_handler e (fun _ _ -> ()) in
   for _ = 1 to 5 do
-    Engine.schedule e ~delay:1 (fun () -> ())
+    Engine.schedule_tag e ~delay:1 ~tag ~a:0 ~b:0
   done;
   Engine.run e;
   check int_t "five events" 5 (Engine.events_run e)

@@ -9,6 +9,12 @@ let int_t = Alcotest.int
 
 let make ?(opts = Opts.all_general ~safe:true) () = Machine.create ~opts ~seed:77L ()
 
+(* Register [irq] with [m]'s APIC and send it from [from] to [targets];
+   returns the cost the sender pays. *)
+let send_irq m ~from ~targets irq =
+  Apic.send_ipi_id m.Machine.apic ~from ~targets:(Cpuset.of_list targets)
+    ~irq_id:(Apic.register_irq m.Machine.apic irq)
+
 (* --- nmi_uaccess_okay --- *)
 
 let test_nmi_okay_when_quiescent () =
@@ -67,16 +73,19 @@ let test_nmi_during_early_ack_window () =
         ~write:false;
       (* Fire an NMI timed to land mid-handler on the responder: post it
          just after the IPI goes out. *)
-      Engine.schedule m.Machine.engine ~delay:900 (fun () ->
-          Cpu.post_irq (Machine.cpu m 14)
-            {
-              Cpu.vector = 2;
-              maskable = false;
-              handler =
-                (fun _ ->
-                  observed_in_handler :=
-                    Some (Shootdown.nmi_uaccess_okay m ~cpu:14));
-            });
+      let nmi =
+        {
+          Cpu.vector = 2;
+          maskable = false;
+          handler =
+            (fun _ -> observed_in_handler := Some (Shootdown.nmi_uaccess_okay m ~cpu:14));
+        }
+      in
+      let post_nmi =
+        Engine.register_handler m.Machine.engine (fun _ _ ->
+            Cpu.post_irq (Machine.cpu m 14) nmi)
+      in
+      Engine.schedule_tag m.Machine.engine ~delay:900 ~tag:post_nmi ~a:0 ~b:0;
       Shootdown.flush_tlb_page m ~from:0 ~mm ~vpn:start_vpn;
       Machine.delay m 20_000;
       check bool_t "okay once the responder is quiescent again" true
@@ -96,8 +105,8 @@ let test_detached_dispatch_on_empty_cpu () =
   let handled = ref false in
   Kernel.spawn_kernel m ~cpu:0 ~name:"sender" (fun () ->
       ignore
-        (Apic.send_ipi m.Machine.apic ~from:0 ~targets:[ 5 ] ~make_irq:(fun _ ->
-             { Cpu.vector = 1; maskable = true; handler = (fun _ -> handled := true) })));
+        (send_irq m ~from:0 ~targets:[ 5 ]
+           { Cpu.vector = 1; maskable = true; handler = (fun _ -> handled := true) }));
   Kernel.run m;
   check bool_t "handled with no occupant" true !handled
 
@@ -114,17 +123,17 @@ let test_no_dispatch_interleaves_user_mode () =
       while not !stop do
         Cpu.compute cpu_t ~quantum:50 200
       done);
+  let irq =
+    {
+      Cpu.vector = 1;
+      maskable = true;
+      handler = (fun cpu -> if Cpu.in_user cpu then saw_user_true := true);
+    }
+  in
   Kernel.spawn_kernel m ~cpu:0 ~name:"sender" (fun () ->
       for _ = 1 to 10 do
         Machine.delay m 700;
-        ignore
-          (Apic.send_ipi m.Machine.apic ~from:0 ~targets:[ 2 ] ~make_irq:(fun _ ->
-               {
-                 Cpu.vector = 1;
-                 maskable = true;
-                 handler =
-                   (fun cpu -> if Cpu.in_user cpu then saw_user_true := true);
-               }))
+        ignore (send_irq m ~from:0 ~targets:[ 2 ] irq)
       done;
       Machine.delay m 10_000;
       stop := true);
@@ -138,15 +147,15 @@ let test_quiesce_and_mask_waits_for_handler () =
   (* Detached handler starts on cpu 7 (no occupant), taking 2000 cycles. *)
   Kernel.spawn_kernel m ~cpu:0 ~name:"sender" (fun () ->
       ignore
-        (Apic.send_ipi m.Machine.apic ~from:0 ~targets:[ 7 ] ~make_irq:(fun _ ->
-             {
-               Cpu.vector = 1;
-               maskable = true;
-               handler =
-                 (fun _ ->
-                   Machine.delay m 2_000;
-                   handler_done := true);
-             })));
+        (send_irq m ~from:0 ~targets:[ 7 ]
+           {
+             Cpu.vector = 1;
+             maskable = true;
+             handler =
+               (fun _ ->
+                 Machine.delay m 2_000;
+                 handler_done := true);
+           }));
   Kernel.spawn_kernel m ~cpu:7 ~name:"quiescer" (fun () ->
       Machine.delay m 1_200;
       (* The detached handler is mid-flight now. *)

@@ -227,7 +227,8 @@ let test_freebsd_serializes_but_stays_correct () =
       while not !stop do
         Cpu.compute cpu_t ~quantum:100 100
       done);
-  Engine.schedule m.Machine.engine ~delay:5_000_000 (fun () -> stop := true);
+  let stopper = Engine.register_handler m.Machine.engine (fun _ _ -> stop := true) in
+  Engine.schedule_tag m.Machine.engine ~delay:5_000_000 ~tag:stopper ~a:0 ~b:0;
   Kernel.run m;
   check int_t "correct under serialization" 0 (Checker.violation_count m.Machine.checker);
   check bool_t "shootdowns happened" true (m.Machine.stats.Machine.shootdowns > 0)

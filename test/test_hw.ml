@@ -50,9 +50,12 @@ let test_topology_clusters () =
   (* 14 cores x 2 threads = 28 APIC ids per socket: crosses the 16 boundary. *)
   check bool_t "socket 0 spans clusters" true
     (Topology.cluster_of t 0 <> Topology.cluster_of t 13);
-  let groups = Topology.clusters_of_targets t [ 0; 1; 13; 14 ] in
-  let total = List.fold_left (fun acc (_, l) -> acc + List.length l) 0 groups in
-  check int_t "all targets grouped" 4 total
+  (* 16 APIC ids per cluster: cores 0-7 with their siblings, then 8-15. *)
+  check int_t "core 7 shares cpu0's cluster" (Topology.cluster_of t 0)
+    (Topology.cluster_of t 7);
+  check int_t "core 8 starts the next cluster"
+    (Topology.cluster_of t 0 + 1)
+    (Topology.cluster_of t 8)
 
 let test_topology_cpus_of_socket () =
   let t = Topology.paper_machine in
@@ -533,6 +536,12 @@ let make_machine_parts () =
   let apic = Apic.create e topo c ~cpus in
   (e, topo, c, cpus, apic)
 
+(* Register [irq] and send it from [from] to [targets] on the pooled path;
+   returns the cost the sender pays. *)
+let send_irq apic ~from ~targets irq =
+  Apic.send_ipi_id apic ~from ~targets:(Cpuset.of_list targets)
+    ~irq_id:(Apic.register_irq apic irq)
+
 let test_cpu_compute_accounting () =
   let e, _, _, cpus, _ = make_machine_parts () in
   Process.spawn e ~name:"worker" (fun () -> Cpu.compute cpus.(0) 1000);
@@ -545,17 +554,16 @@ let test_ipi_delivery_and_interruption () =
   let handled = ref false in
   Process.spawn e ~name:"sender" (fun () ->
       let cost =
-        Apic.send_ipi apic ~from:0 ~targets:[ 14 ]
-          ~make_irq:(fun _ ->
-            {
-              Cpu.vector = 1;
-              maskable = true;
-              handler =
-                (fun cpu ->
-                  handled := true;
-                  Process.delay e 500;
-                  ignore cpu);
-            })
+        send_irq apic ~from:0 ~targets:[ 14 ]
+          {
+            Cpu.vector = 1;
+            maskable = true;
+            handler =
+              (fun cpu ->
+                handled := true;
+                Process.delay e 500;
+                ignore cpu);
+          }
       in
       Process.delay e cost);
   Process.spawn e ~name:"responder" (fun () -> Cpu.compute cpus.(14) 20_000);
@@ -578,13 +586,12 @@ let test_irq_masking_defers () =
   Process.spawn e ~name:"sender" (fun () ->
       Process.delay e 100;
       ignore
-        (Apic.send_ipi apic ~from:0 ~targets:[ 1 ]
-           ~make_irq:(fun _ ->
-             {
-               Cpu.vector = 2;
-               maskable = true;
-               handler = (fun _ -> handled_at := Engine.now e);
-             })));
+        (send_irq apic ~from:0 ~targets:[ 1 ]
+           {
+             Cpu.vector = 2;
+             maskable = true;
+             handler = (fun _ -> handled_at := Engine.now e);
+           }));
   Engine.run e;
   check bool_t "deferred past mask window" true (!handled_at >= 5_000)
 
@@ -601,58 +608,100 @@ let test_nmi_bypasses_mask () =
       Cpu.irq_enable target);
   Engine.run e
 
-let test_spin_until_services_irqs () =
+(* A spin-wait released by an IRQ handler: [poll_wait] services the IRQ
+   at a poll boundary and returns, and the caller's loop re-checks. *)
+let test_poll_wait_services_irqs () =
   let e, _, _, cpus, apic = make_machine_parts () in
   let flag = ref false in
   Process.spawn e ~name:"spinner" (fun () ->
-      Cpu.spin_until cpus.(3) (fun () -> !flag));
+      while not !flag do
+        Cpu.poll_wait cpus.(3) (fun () -> !flag)
+      done);
   Process.spawn e ~name:"sender" (fun () ->
       Process.delay e 1_000;
       ignore
-        (Apic.send_ipi apic ~from:0 ~targets:[ 3 ]
-           ~make_irq:(fun _ ->
-             { Cpu.vector = 3; maskable = true; handler = (fun _ -> flag := true) })));
+        (send_irq apic ~from:0 ~targets:[ 3 ]
+           { Cpu.vector = 3; maskable = true; handler = (fun _ -> flag := true) }));
   Engine.run e;
-  check bool_t "spinner released by irq" true !flag
+  check bool_t "spinner released by irq" true !flag;
+  check int_t "handled on the spinning cpu" 1 (Cpu.irqs_handled cpus.(3))
 
 let test_apic_multicast_cluster_cost () =
   let e, topo, c, _, apic = make_machine_parts () in
   (* Targets in different clusters need several ICR writes. *)
   let targets = [ 1; 13; 14; 27 ] in
-  let clusters = List.length (Topology.clusters_of_targets topo targets) in
+  let clusters =
+    List.length (List.sort_uniq Int.compare (List.map (Topology.cluster_of topo) targets))
+  in
+  check bool_t "targets span several clusters" true (clusters > 1);
   Process.spawn e ~name:"sender" (fun () ->
       let cost =
-        Apic.send_ipi apic ~from:0 ~targets ~make_irq:(fun _ ->
-            { Cpu.vector = 9; maskable = true; handler = (fun _ -> ()) })
+        send_irq apic ~from:0 ~targets
+          { Cpu.vector = 9; maskable = true; handler = (fun _ -> ()) }
       in
       check int_t "one ICR write per cluster" (clusters * c.Costs.icr_write) cost);
   Engine.run e;
   check int_t "icr writes counted" clusters (Apic.icr_writes apic);
   check int_t "ipis counted" (List.length targets) (Apic.ipis_sent apic)
 
+(* On a 1024-CPU x2APIC machine, a sparse multicast is delivered cluster
+   by cluster in ascending cluster id, ascending cpu id within a cluster,
+   with one ICR write per cluster. Every target is cross-socket from the
+   sender, so delivery latency is the same for all: a later cluster
+   arrives one ICR write later, and a cluster's targets arrive together
+   and fire in insertion order. *)
+let test_apic_send_ipi_id_order_1024 () =
+  let e = Engine.create () in
+  let topo = Topology.create ~sockets:8 ~cores_per_socket:64 ~smt:2 in
+  let c = Costs.default in
+  let cpus =
+    Array.init (Topology.n_cpus topo) (fun id -> Cpu.create e topo c ~id ~safe:false ())
+  in
+  let apic = Apic.create e topo c ~cpus in
+  let targets = [ 1000; 70; 600; 71; 583; 200; 1023; 64; 960 ] in
+  List.iter
+    (fun cpu ->
+      check bool_t "cross-socket target" true
+        (Topology.distance topo 0 cpu = Topology.Cross_socket))
+    targets;
+  let expected =
+    List.sort
+      (fun a b ->
+        match Int.compare (Topology.cluster_of topo a) (Topology.cluster_of topo b) with
+        | 0 -> Int.compare a b
+        | n -> n)
+      targets
+  in
+  let clusters =
+    List.length (List.sort_uniq Int.compare (List.map (Topology.cluster_of topo) targets))
+  in
+  let delivered = ref [] in
+  Process.spawn e ~name:"sender" (fun () ->
+      let cost =
+        send_irq apic ~from:0 ~targets
+          {
+            Cpu.vector = 1;
+            maskable = true;
+            handler = (fun cpu -> delivered := Cpu.id cpu :: !delivered);
+          }
+      in
+      check int_t "sender pays one ICR write per cluster" (clusters * c.Costs.icr_write)
+        cost);
+  Engine.run e;
+  check int_t "six clusters" 6 clusters;
+  check (Alcotest.list int_t) "cluster-major, ascending cpu" expected (List.rev !delivered);
+  check int_t "one ICR write per cluster" clusters (Apic.icr_writes apic);
+  check int_t "one IPI per target" (List.length targets) (Apic.ipis_sent apic)
+
 let test_apic_rejects_self_ipi () =
   let e, _, _, _, apic = make_machine_parts () in
   Process.spawn e ~name:"sender" (fun () ->
       Alcotest.check_raises "self ipi"
-        (Invalid_argument "Apic.send_ipi: self-IPI not supported") (fun () ->
+        (Invalid_argument "Apic.send_ipi_id: self-IPI not supported") (fun () ->
           ignore
-            (Apic.send_ipi apic ~from:0 ~targets:[ 0 ] ~make_irq:(fun _ ->
-                 { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) }))));
+            (send_irq apic ~from:0 ~targets:[ 0 ]
+               { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) })));
   Engine.run e
-
-let test_idle_wait_wakes_on_irq () =
-  let e, _, _, cpus, apic = make_machine_parts () in
-  let woke_at = ref (-1) in
-  Process.spawn e ~name:"idler" (fun () ->
-      Cpu.idle_wait cpus.(4);
-      woke_at := Engine.now e);
-  Process.spawn e ~name:"sender" (fun () ->
-      Process.delay e 2_000;
-      ignore
-        (Apic.send_ipi apic ~from:0 ~targets:[ 4 ] ~make_irq:(fun _ ->
-             { Cpu.vector = 1; maskable = true; handler = (fun _ -> ()) })));
-  Engine.run e;
-  check bool_t "woken after delivery" true (!woke_at > 2_000)
 
 let suite =
   [
@@ -694,8 +743,8 @@ let suite =
     Alcotest.test_case "cpu+apic: delivery and interruption" `Quick test_ipi_delivery_and_interruption;
     Alcotest.test_case "cpu: masking defers irqs" `Quick test_irq_masking_defers;
     Alcotest.test_case "cpu: nmi bypasses mask" `Quick test_nmi_bypasses_mask;
-    Alcotest.test_case "cpu: spin_until services irqs" `Quick test_spin_until_services_irqs;
+    Alcotest.test_case "cpu: poll_wait services irqs" `Quick test_poll_wait_services_irqs;
     Alcotest.test_case "apic: multicast cluster cost" `Quick test_apic_multicast_cluster_cost;
+    Alcotest.test_case "apic: 1024-cpu delivery order" `Quick test_apic_send_ipi_id_order_1024;
     Alcotest.test_case "apic: rejects self-IPI" `Quick test_apic_rejects_self_ipi;
-    Alcotest.test_case "cpu: idle_wait wakes on irq" `Quick test_idle_wait_wakes_on_irq;
   ]

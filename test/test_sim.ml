@@ -256,21 +256,26 @@ let test_histogram_merge () =
 
 (* --- Engine --- *)
 
+(* A handler that logs its [a] argument: tests schedule by tag with the
+   value they want to see fire. *)
+let logging_handler e =
+  let log = ref [] in
+  let tag = Engine.register_handler e (fun a _ -> log := a :: !log) in
+  (tag, log)
+
 let test_engine_time_ordering () =
   let e = Engine.create () in
-  let log = ref [] in
-  Engine.schedule e ~delay:30 (fun () -> log := 30 :: !log);
-  Engine.schedule e ~delay:10 (fun () -> log := 10 :: !log);
-  Engine.schedule e ~delay:20 (fun () -> log := 20 :: !log);
+  let tag, log = logging_handler e in
+  List.iter (fun d -> Engine.schedule_tag e ~delay:d ~tag ~a:d ~b:0) [ 30; 10; 20 ];
   Engine.run e;
   check (Alcotest.list int_t) "fired in time order" [ 10; 20; 30 ] (List.rev !log);
   check int_t "clock at last event" 30 (Engine.now e)
 
 let test_engine_fifo_at_same_time () =
   let e = Engine.create () in
-  let log = ref [] in
+  let tag, log = logging_handler e in
   for i = 1 to 5 do
-    Engine.schedule e ~delay:7 (fun () -> log := i :: !log)
+    Engine.schedule_tag e ~delay:7 ~tag ~a:i ~b:0
   done;
   Engine.run e;
   check (Alcotest.list int_t) "insertion order at ties" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -278,31 +283,34 @@ let test_engine_fifo_at_same_time () =
 let test_engine_nested_scheduling () =
   let e = Engine.create () in
   let log = ref [] in
-  Engine.schedule e ~delay:5 (fun () ->
-      log := "a" :: !log;
-      Engine.schedule e ~delay:5 (fun () -> log := "b" :: !log));
+  (* [a] names the event; the first one schedules a child on its own tag,
+     which rides in [b]. *)
+  let tag =
+    Engine.register_handler e (fun a b ->
+        log := a :: !log;
+        if a = 1 then Engine.schedule_tag e ~delay:5 ~tag:b ~a:2 ~b)
+  in
+  Engine.schedule_tag e ~delay:5 ~tag ~a:1 ~b:tag;
   Engine.run e;
-  check (Alcotest.list Alcotest.string) "nested fires" [ "a"; "b" ] (List.rev !log);
+  check (Alcotest.list int_t) "nested fires" [ 1; 2 ] (List.rev !log);
   check int_t "time advanced" 10 (Engine.now e)
 
 let test_engine_rejects_past () =
   let e = Engine.create () in
-  Engine.schedule e ~delay:10 (fun () -> ());
+  let tag = Engine.register_handler e (fun _ _ -> ()) in
+  Engine.schedule_tag e ~delay:10 ~tag ~a:0 ~b:0;
   Engine.run e;
   Alcotest.check_raises "negative delay"
-    (Invalid_argument "Engine.schedule: negative delay") (fun () ->
-      Engine.schedule e ~delay:(-5) (fun () -> ()));
-  let tag = Engine.register_handler e (fun _ _ -> ()) in
-  Alcotest.check_raises "negative tagged delay"
     (Invalid_argument "Engine.schedule_tag: negative delay") (fun () ->
-      Engine.schedule_tag e ~delay:(-5) ~tag ~a:0 ~b:0)
+      Engine.schedule_tag e ~delay:(-5) ~tag ~a:0 ~b:0);
+  Alcotest.check_raises "unregistered tag"
+    (Invalid_argument "Engine.schedule_tag: unregistered tag") (fun () ->
+      Engine.schedule_tag e ~delay:1 ~tag:(tag + 1) ~a:0 ~b:0)
 
 let test_engine_step () =
   let e = Engine.create () in
-  let fired = ref [] in
-  List.iter
-    (fun d -> Engine.schedule e ~delay:d (fun () -> fired := d :: !fired))
-    [ 10; 20; 30 ];
+  let tag, fired = logging_handler e in
+  List.iter (fun d -> Engine.schedule_tag e ~delay:d ~tag ~a:d ~b:0) [ 10; 20; 30 ];
   check bool_t "first step ran an event" true (Engine.step e);
   check bool_t "second step ran an event" true (Engine.step e);
   check (Alcotest.list int_t) "earliest two, in order" [ 10; 20 ] (List.rev !fired);
@@ -320,28 +328,28 @@ let test_engine_clock_overflow_rejected () =
   let e = Engine.create () in
   check bool_t "max_time is the 38-bit boundary" true
     (Engine.max_time = max_int lsr 25);
+  let tag, ran = logging_handler e in
   Alcotest.check_raises "schedule past max_time"
     (Invalid_argument
-       (Printf.sprintf "Engine.schedule: delay %d from time 0 overflows the clock"
+       (Printf.sprintf "Engine.schedule_tag: delay %d from time 0 overflows the clock"
           (Engine.max_time + 1)))
-    (fun () -> Engine.schedule e ~delay:(Engine.max_time + 1) (fun () -> ()));
-  let tag = Engine.register_handler e (fun _ _ -> ()) in
-  Alcotest.check_raises "schedule_tag past max_time"
+    (fun () -> Engine.schedule_tag e ~delay:(Engine.max_time + 1) ~tag ~a:0 ~b:0);
+  Alcotest.check_raises "schedule far past max_time"
     (Invalid_argument
        (Printf.sprintf "Engine.schedule_tag: delay %d from time 0 overflows the clock"
           max_int))
     (fun () -> Engine.schedule_tag e ~delay:max_int ~tag ~a:0 ~b:0);
-  let ran = ref false in
-  Engine.schedule e ~delay:Engine.max_time (fun () -> ran := true);
+  Engine.schedule_tag e ~delay:Engine.max_time ~tag ~a:1 ~b:0;
   Engine.run e;
-  check bool_t "boundary event ran" true !ran;
+  check (Alcotest.list int_t) "boundary event ran" [ 1 ] !ran;
   check int_t "clock lands on max_time" Engine.max_time (Engine.now e)
 
 (* The suspend-free fast path must refuse to move [now] past [max_time]
-   (the slow path then reports the overflow via [schedule]). *)
+   (the slow path then reports the overflow via [schedule_tag]). *)
 let test_engine_try_advance_clock_boundary () =
   let e = Engine.create () in
-  Engine.schedule e ~delay:(Engine.max_time - 5) (fun () -> ());
+  let tag = Engine.register_handler e (fun _ _ -> ()) in
+  Engine.schedule_tag e ~delay:(Engine.max_time - 5) ~tag ~a:0 ~b:0;
   Engine.run e;
   check bool_t "advance inside the bound" true (Engine.try_advance e ~cycles:3);
   check int_t "advanced" (Engine.max_time - 2) (Engine.now e);
@@ -360,14 +368,16 @@ let test_engine_try_advance_clock_boundary () =
 let test_engine_seq_renumber_preserves_fifo () =
   let e = Engine.create () in
   let far = ref false in
-  Engine.schedule e ~delay:1_000_000_000 (fun () -> far := true);
+  let tag_far = Engine.register_handler e (fun _ _ -> far := true) in
+  Engine.schedule_tag e ~delay:1_000_000_000 ~tag:tag_far ~a:0 ~b:0;
   let seq_limit = 1 lsl 25 in
   let ran = ref 0 in
+  let tag_ran = Engine.register_handler e (fun _ _ -> incr ran) in
   let batch = 4096 in
   let rounds = (seq_limit / batch) + 2 in
   for _ = 1 to rounds do
     for _ = 1 to batch do
-      Engine.schedule e ~delay:1 (fun () -> incr ran)
+      Engine.schedule_tag e ~delay:1 ~tag:tag_ran ~a:0 ~b:0
     done;
     (* The batch precedes the far event: step exactly through it. *)
     for _ = 1 to batch do
@@ -375,10 +385,8 @@ let test_engine_seq_renumber_preserves_fifo () =
     done
   done;
   check int_t "every event ran across the renumber" (rounds * batch) !ran;
-  let log = ref [] in
-  List.iter
-    (fun i -> Engine.schedule e ~delay:5 (fun () -> log := i :: !log))
-    [ 1; 2; 3 ];
+  let tag, log = logging_handler e in
+  List.iter (fun i -> Engine.schedule_tag e ~delay:5 ~tag ~a:i ~b:0) [ 1; 2; 3 ];
   Engine.run e;
   check bool_t "far event survived the renumber" true !far;
   check (Alcotest.list int_t) "FIFO after renumber" [ 1; 2; 3 ] (List.rev !log)
@@ -434,6 +442,44 @@ let test_process_self_name () =
       seen := Process.self_name e);
   Engine.run e;
   check Alcotest.string "name visible after resume" "worker-7" !seen
+
+(* A wake token ends exactly one park: waking it again raises, whether the
+   process has gone on to sleep, parked under a fresh token, or finished. *)
+let test_process_stale_wake_raises () =
+  let expect_raise what exn setup =
+    let e = Engine.create () in
+    setup e;
+    Alcotest.check_raises what exn (fun () -> Engine.run e)
+  in
+  let resumed_twice = Invalid_argument "Process sleeper resumed twice" in
+  expect_raise "second wake while the process sleeps" resumed_twice (fun e ->
+      let token = ref (-1) in
+      Process.spawn e ~name:"sleeper" (fun () ->
+          Process.park (fun t -> token := t);
+          Process.delay e 10);
+      Process.spawn e ~name:"waker" (fun () ->
+          Process.delay e 5;
+          Process.wake e !token;
+          Process.wake e !token));
+  expect_raise "stale wake while parked under a new token" resumed_twice (fun e ->
+      let tokens = ref [] in
+      Process.spawn e ~name:"sleeper" (fun () ->
+          Process.park (fun t -> tokens := t :: !tokens);
+          Process.park (fun t -> tokens := t :: !tokens));
+      Process.spawn e ~name:"waker" (fun () ->
+          let first = List.hd !tokens in
+          Process.wake e first;
+          Process.delay e 1;
+          check int_t "parked again" 2 (List.length !tokens);
+          Process.wake e first));
+  expect_raise "wake after the process finished"
+    (Invalid_argument "Engine: tag dispatched after release_handler") (fun e ->
+      let token = ref (-1) in
+      Process.spawn e ~name:"sleeper" (fun () -> Process.park (fun t -> token := t));
+      Process.spawn e ~name:"waker" (fun () ->
+          Process.wake e !token;
+          Process.delay e 1;
+          Process.wake e !token))
 
 let test_waitq_signal_all () =
   let e = Engine.create () in
@@ -553,7 +599,7 @@ let test_trace_ring_buffer_cap () =
    Randomized schedule / fire / recycle sequences against a simple model,
    checking the pooled-event invariants end to end:
 
-   - every scheduled callback fires exactly once (exact multiset of ids,
+   - every scheduled event fires exactly once (exact multiset of ids,
      children included), across rounds that recycle every row of the
      previous round;
    - fire times are the scheduled times, delivered monotonically, and
@@ -583,8 +629,19 @@ let test_engine_pool_model () =
     Hashtbl.remove live id;
     fired := (id, time) :: !fired
   in
-  (* Tagged dispatch: one shared handler, the event's [a] is the model id. *)
-  let tag = Engine.register_handler e (fun a _b -> fire a) in
+  (* Two leaf handlers, the event's [a] is the model id. A parent's
+     handler fires its id, then schedules two children at the delays
+     packed in [b] — delay 0 children land in the same-cycle batch path. *)
+  let leaf_a = Engine.register_handler e (fun a _b -> fire a) in
+  let leaf_b = Engine.register_handler e (fun a _b -> fire a) in
+  let parent =
+    Engine.register_handler e (fun id ds ->
+        fire id;
+        let d1 = ds / 4 and d2 = ds mod 4 in
+        let c1 = fresh_id (Engine.now e + d1) and c2 = fresh_id (Engine.now e + d2) in
+        Engine.schedule_tag e ~delay:d1 ~tag:leaf_a ~a:c1 ~b:0;
+        Engine.schedule_tag e ~delay:d2 ~tag:leaf_b ~a:c2 ~b:0)
+  in
   for _round = 1 to 4 do
     for _op = 1 to 400 do
       incr gop;
@@ -594,18 +651,11 @@ let test_engine_pool_model () =
       let id = fresh_id (now + d) in
       top_seq := (now + d, op, id) :: !top_seq;
       match Rng.int rng 6 with
-      | 0 | 1 | 2 -> Engine.schedule e ~delay:d (fun () -> fire id)
-      | 3 | 4 -> Engine.schedule_tag e ~delay:d ~tag ~a:id ~b:0
+      | 0 | 1 | 2 -> Engine.schedule_tag e ~delay:d ~tag:leaf_a ~a:id ~b:0
+      | 3 | 4 -> Engine.schedule_tag e ~delay:d ~tag:leaf_b ~a:id ~b:0
       | _ ->
-          (* A parent whose callback schedules children at fire time —
-             delay 0 children land in the same-cycle batch path. *)
           let d1 = Rng.int rng 4 and d2 = Rng.int rng 4 in
-          Engine.schedule e ~delay:d (fun () ->
-              fire id;
-              let c1 = fresh_id (Engine.now e + d1)
-              and c2 = fresh_id (Engine.now e + d2) in
-              Engine.schedule e ~delay:d1 (fun () -> fire c1);
-              Engine.schedule_tag e ~delay:d2 ~tag ~a:c2 ~b:0)
+          Engine.schedule_tag e ~delay:d ~tag:parent ~a:id ~b:((d1 * 4) + d2)
     done;
     Engine.run e;
     (* Queue drained: this round's rows are recycled by the next round. *)
@@ -679,6 +729,7 @@ let suite =
     Alcotest.test_case "process: interleaving" `Quick test_process_interleaving;
     Alcotest.test_case "process: failures propagate" `Quick test_process_failure_propagates;
     Alcotest.test_case "process: self name" `Quick test_process_self_name;
+    Alcotest.test_case "process: stale wake raises" `Quick test_process_stale_wake_raises;
     Alcotest.test_case "waitq: signal_all" `Quick test_waitq_signal_all;
     Alcotest.test_case "waitq: signal_one FIFO" `Quick test_waitq_signal_one_fifo;
     Alcotest.test_case "waitq: completion" `Quick test_completion;
